@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
+from types import SimpleNamespace
 
 Partition = tuple[int, ...]
 
@@ -175,33 +176,94 @@ def enumerate_below(lam: Partition) -> list[Partition]:
     return [mu for mu in _partitions(sum(lam)) if dominates(lam, mu)]
 
 
-def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:
-    """Covering pairs (lam, mu) of the dominance order on partitions of n.
+def _lower_covers(rows: tuple[int, ...]):
+    """The partitions covered by the partition with these zero-padded rows.
 
-    Computed as the transitive reduction of the full order, with the
-    strictly-below sets held as bitmasks so the reduction is a handful of
-    integer operations per partition.
+    Brylawski's characterisation: a cover moves one box from row i to a
+    row j > i with j = i + 1 or rows[i] = rows[j] + 2, and the result must
+    still be a partition.  So i ends its block of equal rows, and j is
+    either the next row, when it is at least 2 shorter, or the first row
+    past a block of length rows[i] - 1, when it has length rows[i] - 2.
+    """
+    for i in range(len(rows) - 1):
+        a = rows[i]
+        if a == 0:
+            break
+        if rows[i + 1] == a:
+            continue
+        j = i + 1
+        if rows[j] == a - 1:
+            while j < len(rows) and rows[j] == a - 1:
+                j += 1
+            if j == len(rows) or rows[j] != a - 2:
+                continue
+        moved = list(rows)
+        moved[i] -= 1
+        moved[j] += 1
+        yield tuple(p for p in moved if p)
+
+
+def _cover_indices(n: int, index: dict[Partition, int]) -> list[list[int]]:
+    """Per partition of n, in index order, the sorted indices of its covers."""
+    return [sorted(index[mu] for mu in _lower_covers(lam + (0,) * (n - len(lam))))
+            for lam in index]
+
+
+@lru_cache(maxsize=None)
+def _table(n: int) -> SimpleNamespace:
+    """Everything the pair and triple loops need about P(n), by index.
+
+    parts is _partitions(n) and index inverts it.  padded holds each
+    partition's rows zero-padded to n, dual the index of its transpose,
+    weight its column weight and row_weight the column weight of its
+    dual.  below is the bitmask of every index it dominates, itself
+    included.
     """
     parts = _partitions(n)
     index = {p: i for i, p in enumerate(parts)}
-    below = []
-    for lam in parts:
-        mask = 0
-        for mu in parts:
-            if mu != lam and dominates(lam, mu):
-                mask |= 1 << index[mu]
-        below.append(mask)
-    covers = []
-    for i, lam in enumerate(parts):
-        reachable = 0
-        m = below[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            reachable |= below[j]
-            m &= m - 1
-        keep = below[i] & ~reachable
-        while keep:
-            j = (keep & -keep).bit_length() - 1
-            covers.append((lam, parts[j]))
-            keep &= keep - 1
-    return covers
+    dual_index = tuple(index[dual(p)] for p in parts)
+    weight = tuple(_column_weight(p) for p in parts)
+    covers = _cover_indices(n, index)
+    # Reverse-lex order is a linear extension of dominance, so every cover
+    # of parts[i] sits at a larger index and its mask is already closed.
+    below = [0] * len(parts)
+    for i in reversed(range(len(parts))):
+        mask = 1 << i
+        for j in covers[i]:
+            mask |= below[j]
+        below[i] = mask
+    return SimpleNamespace(
+        parts=parts,
+        index=index,
+        padded=tuple(p + (0,) * (n - len(p)) for p in parts),
+        dual=dual_index,
+        weight=weight,
+        row_weight=tuple(weight[d] for d in dual_index),
+        below=tuple(below),
+    )
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _qcr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int, int]:
+    """(q, c, r) of the dominating pair (parts[i], parts[j]) of one table."""
+    q = sum(abs(a - b) for a, b in zip(table.padded[i], table.padded[j])) // 2
+    return (q, table.weight[i] - table.weight[j],
+            table.row_weight[j] - table.row_weight[i])
+
+
+def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:
+    """Covering pairs (lam, mu) of the dominance order on partitions of n.
+
+    Generated directly from Brylawski's characterisation of covers, with
+    lam in enumeration order and its covers mu in enumeration order.
+    """
+    parts = _partitions(n)
+    index = {p: i for i, p in enumerate(parts)}
+    return [(lam, parts[j]) for lam, cov in zip(parts, _cover_indices(n, index)) for j in cov]

@@ -44,11 +44,14 @@ def lambda_bound(override: int | None = None) -> int:
     env = os.environ.get(LAMBDA_BOUND_ENV)
     if env is not None:
         try:
-            return int(env)
+            value = int(env)
         except ValueError:
+            value = None
+        if value is None or value < 0:
             raise ValueError(
-                f"{LAMBDA_BOUND_ENV} must be an integer, got {env!r}"
-            ) from None
+                f"{LAMBDA_BOUND_ENV} must be a nonnegative integer, got {env!r}"
+            )
+        return value
     return DEFAULT_LAMBDA_BOUND
 
 

@@ -18,12 +18,12 @@ from typing import Callable
 from . import abdiagrams as ab
 from .partitions import (
     Partition,
+    _bits,
     _partitions,
+    _qcr,
+    _table,
     degeneration_chain,
     diff_stats,
-    dominates,
-    dual,
-    enumerate_below,
     s_step,
 )
 from .strata import (
@@ -231,13 +231,15 @@ Runner = Callable[[int], tuple[int, list[dict], dict | None]]
 
 
 def _pairs(n_max: int):
+    """Every dominating pair up to n_max as (table, i, j), by table index."""
     for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            for mu in enumerate_below(lam):
-                yield lam, mu
+        table = _table(n)
+        for i, mask in enumerate(table.below):
+            for j in _bits(mask):
+                yield table, i, j
 
 
-def _monotone(values: list[int]) -> bool:
+def _monotone(values: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(values, values[1:])) or all(
         a >= b for a, b in zip(values, values[1:])
     )
@@ -246,74 +248,65 @@ def _monotone(values: list[int]) -> bool:
 def _run_diff_ind(n_max: int):
     instances = 0
     ces: list[dict] = []
-    for lam, mu in _pairs(n_max):
-        if lam == mu:
+    for table, i, j in _pairs(n_max):
+        if i == j:
             continue
         instances += 1
+        lam, mu = table.parts[i], table.parts[j]
         chain = degeneration_chain(lam, mu)
-        q = diff_stats(lam, mu).q
+        idx = [table.index.get(p) for p in chain]
         problems = []
         if chain[0] != lam or chain[-1] != mu:
             problems.append("endpoints")
-        if len(chain) != q + 1:
+        if len(chain) != _qcr(table, i, j)[0] + 1:
             problems.append("length")
-        for a, b in zip(chain, chain[1:]):
-            if not dominates(a, b) or a == b or diff_stats(a, b).q != 1:
+        for a, b in zip(idx, idx[1:]):
+            if (a is None or b is None or a == b or not table.below[a] >> b & 1
+                    or _qcr(table, a, b)[0] != 1):
                 problems.append("step")
                 break
-        width = max(len(p) for p in chain)
-        for r in range(width):
-            if not _monotone([p[r] if r < len(p) else 0 for p in chain]):
+        if None not in idx:  # a chain leaving P(n) already fails "step"
+            if not all(map(_monotone, zip(*(table.padded[k] for k in idx)))):
                 problems.append("row monotonicity")
-                break
-        height = max(p[0] for p in chain)
-        duals = [dual(p) for p in chain]
-        for cidx in range(height):
-            if not _monotone([d[cidx] if cidx < len(d) else 0 for d in duals]):
+            duals = (table.padded[table.dual[k]] for k in idx)
+            if not all(map(_monotone, zip(*duals))):
                 problems.append("column monotonicity")
-                break
         if problems:
             ces.append({"lambda": list(lam), "mu": list(mu), "problems": problems})
     return instances, ces, None
 
 
-def _strictness_hypothesis(lam: Partition, mu: Partition) -> bool:
-    lhat, mhat = dual(lam), dual(mu)
-    col_hit = any(
-        (mhat[i] if i < len(mhat) else 0) > (lhat[i] if i < len(lhat) else 0) + 1
-        for i in range(max(len(lhat), len(mhat)))
-    )
-    row_hit = any(
-        (mu[i] if i < len(mu) else 0) > (lam[i] if i < len(lam) else 0) + 1
-        for i in range(max(len(lam), len(mu)))
-    )
-    return col_hit or row_hit
+def _strictness_hypothesis(table, i: int, j: int) -> bool:
+    """Some column or some row of parts[j] exceeds parts[i]'s by 2 or more."""
+    lhat, mhat = table.padded[table.dual[i]], table.padded[table.dual[j]]
+    lam, mu = table.padded[i], table.padded[j]
+    return (any(b > a + 1 for a, b in zip(lhat, mhat))
+            or any(b > a + 1 for a, b in zip(lam, mu)))
 
 
 def _run_diff_usef(n_max: int):
     instances = 0
     ces: list[dict] = []
     for n in range(1, n_max + 1):
+        table = _table(n)
         for s in (1, 2):
-            for lam in _partitions(n):
+            for i, lam in enumerate(table.parts):
                 if not s_step(lam, s):
                     continue
-                for mu in enumerate_below(lam):
-                    if mu == lam:
-                        continue
+                for j in _bits(table.below[i] & ~(1 << i)):
                     instances += 1
-                    st = diff_stats(lam, mu)
-                    lhs, rhs = s * st.r, st.c + st.q
-                    strict = _strictness_hypothesis(lam, mu)
+                    q, c, r = _qcr(table, i, j)
+                    lhs, rhs = s * r, c + q
+                    strict = _strictness_hypothesis(table, i, j)
                     if lhs < rhs or (strict and lhs == rhs):
                         ces.append(
                             {
                                 "s": s,
                                 "lambda": list(lam),
-                                "mu": list(mu),
-                                "q": st.q,
-                                "c": st.c,
-                                "r": st.r,
+                                "mu": list(table.parts[j]),
+                                "q": q,
+                                "c": c,
+                                "r": r,
                                 "strict_expected": strict,
                             }
                         )
@@ -323,24 +316,25 @@ def _run_diff_usef(n_max: int):
 def _run_qcr_identities(n_max: int):
     instances = 0
     ces: list[dict] = []
-    for lam, mu in _pairs(n_max):
+    for table, i, j in _pairs(n_max):
         instances += 1
-        st = diff_stats(lam, mu)
-        equal = lam == mu
-        if ((st.q == 0) != equal) or ((st.c == 0) != equal) or ((st.r == 0) != equal):
+        lam, mu = table.parts[i], table.parts[j]
+        q, c, r = _qcr(table, i, j)
+        equal = i == j
+        if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
             ces.append({"lambda": list(lam), "mu": list(mu), "problem": "vanishing"})
-        if st.c < st.q:
+        if c < q:
             ces.append({"lambda": list(lam), "mu": list(mu), "problem": "c < q"})
-        for nu in enumerate_below(mu):
+        for k in _bits(table.below[j]):
             instances += 1
-            st_bot = diff_stats(mu, nu)
-            st_all = diff_stats(lam, nu)
-            if st_all.c != st.c + st_bot.c or st_all.r != st.r + st_bot.r:
+            _, c_bot, r_bot = _qcr(table, j, k)
+            _, c_all, r_all = _qcr(table, i, k)
+            if c_all != c + c_bot or r_all != r + r_bot:
                 ces.append(
                     {
                         "lambda": list(lam),
                         "mu": list(mu),
-                        "nu": list(nu),
+                        "nu": list(table.parts[k]),
                         "problem": "additivity",
                     }
                 )
@@ -350,24 +344,23 @@ def _run_qcr_identities(n_max: int):
 def _run_comb_col(n_max: int):
     instances = 0
     ces: list[dict] = []
-    for lam, mu in _pairs(n_max):
+    for table, i, j in _pairs(n_max):
         instances += 1
-        lhat, mhat = dual(lam), dual(mu)
-        t = len(lhat)
-        lhs = sum(
-            (mhat[i] if i < len(mhat) else 0) ** 2 - lhat[i] ** 2 for i in range(t)
-        )
-        rhs = 2 * diff_stats(lam, mu).r
+        lhat, mhat = table.padded[table.dual[i]], table.padded[table.dual[j]]
+        lhs = sum(b * b - a * a for a, b in zip(lhat, mhat))
+        rhs = 2 * _qcr(table, i, j)[2]
         if lhs != rhs:
-            ces.append({"lambda": list(lam), "mu": list(mu), "lhs": lhs, "rhs": rhs})
+            ces.append({"lambda": list(table.parts[i]), "mu": list(table.parts[j]),
+                        "lhs": lhs, "rhs": rhs})
     return instances, ces, None
 
 
 def _run_o_sums(n_max: int):
     instances = 0
     ces: list[dict] = []
-    for lam, mu in _pairs(n_max):
+    for table, i, j in _pairs(n_max):
         instances += 1
+        lam, mu = table.parts[i], table.parts[j]
         t = lam[0]
         sigma_sum = sum(ab.o_stat(d) for d in sigma_zero(mu, t))
         tau_sum = sum(ab.o_stat(d) for d in tau_zero(lam))
@@ -450,20 +443,20 @@ def _run_comb_maxab2(n_max: int):
 def _run_comb_clem(n_max: int):
     instances = 0
     ces: list[dict] = []
-    for lam, mu in _pairs(n_max):
+    for table, i, j in _pairs(n_max):
         instances += 1
+        lam, mu = table.parts[i], table.parts[j]
         da, db = d_lists(lam, mu)
         total = sum(max(x, y) for x, y in zip(da, db))
-        st = diff_stats(lam, mu)
-        bad = total > st.c + st.q or (st.q == 1 and total != st.c + 1)
-        if bad:
+        q, c, _ = _qcr(table, i, j)
+        if total > c + q or (q == 1 and total != c + 1):
             ces.append(
                 {
                     "lambda": list(lam),
                     "mu": list(mu),
                     "sum_max": total,
-                    "c": st.c,
-                    "q": st.q,
+                    "c": c,
+                    "q": q,
                 }
             )
     return instances, ces, None

@@ -54,6 +54,13 @@ class TestNormal:
         assert out.strip() == "NOT normal (step at row 1)"
         assert "bound" in err
 
+    def test_negative_environment_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORBIT_LAMBDA_BOUND", "-3")
+        code, out, err = run(capsys, "normal", "2,1", "--certify")
+        assert code == 2
+        assert out == ""
+        assert "ORBIT_LAMBDA_BOUND" in err
+
 
 class TestStrata:
     def test_two_rows(self, capsys):

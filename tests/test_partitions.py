@@ -1,11 +1,15 @@
 """Partition arithmetic checked against independent small-case oracles."""
 
+from dataclasses import astuple
 from itertools import zip_longest
 
 import pytest
 
 from symorbit.partitions import (
     DiffStats,
+    _bits,
+    _qcr,
+    _table,
     check_partition,
     degeneration_chain,
     diff_stats,
@@ -47,6 +51,37 @@ def box_weight_oracle(lam, numbering):
     if numbering == "column":
         return sum(c + 1 for p in lam for c in range(p))
     return sum(r + 1 for r, p in enumerate(lam) for _ in range(p))
+
+
+def reduction_covers(n):
+    """Covers as the transitive reduction of the full dominance order.
+
+    The strictly-below sets are bitmasks, so the reduction is a handful
+    of integer operations per partition; p(n)^2 dominance tests build them.
+    """
+    parts = enumerate_partitions(n)
+    index = {p: i for i, p in enumerate(parts)}
+    below = []
+    for lam in parts:
+        mask = 0
+        for mu in parts:
+            if mu != lam and dominates(lam, mu):
+                mask |= 1 << index[mu]
+        below.append(mask)
+    covers = []
+    for i, lam in enumerate(parts):
+        reachable = 0
+        m = below[i]
+        while m:
+            j = (m & -m).bit_length() - 1
+            reachable |= below[j]
+            m &= m - 1
+        keep = below[i] & ~reachable
+        while keep:
+            j = (keep & -keep).bit_length() - 1
+            covers.append((lam, parts[j]))
+            keep &= keep - 1
+    return covers
 
 
 def all_partitions_upto(n_max):
@@ -327,3 +362,34 @@ class TestCovers:
 
     def test_chain_for_three(self):
         assert dominance_covers(3) == [((3,), (2, 1)), ((2, 1), (1, 1, 1))]
+
+    def test_matches_transitive_reduction_in_order(self):
+        for n in range(21):
+            assert dominance_covers(n) == reduction_covers(n)
+
+
+class TestTable:
+    def test_rows_duals_and_weights(self):
+        for n in range(11):
+            table = _table(n)
+            assert table.parts == tuple(enumerate_partitions(n))
+            for i, lam in enumerate(table.parts):
+                assert table.index[lam] == i
+                assert table.padded[i] == lam + (0,) * (n - len(lam))
+                assert table.parts[table.dual[i]] == transpose_oracle(lam)
+                assert table.weight[i] == box_weight_oracle(lam, "column")
+                assert table.row_weight[i] == box_weight_oracle(lam, "row")
+
+    def test_below_masks_are_dominance_filters(self):
+        for n in range(13):
+            table = _table(n)
+            for i, lam in enumerate(table.parts):
+                expected = [mu for mu in enumerate_partitions(n) if dominates(lam, mu)]
+                assert [table.parts[j] for j in _bits(table.below[i])] == expected
+
+    def test_qcr_matches_diff_stats(self):
+        for n in range(1, 13):
+            table = _table(n)
+            for i, lam in enumerate(table.parts):
+                for j in _bits(table.below[i]):
+                    assert _qcr(table, i, j) == astuple(diff_stats(lam, table.parts[j]))

@@ -23,6 +23,7 @@ from symorbit.strata import (
     dim_stratum,
     enumerate_lambda,
     is_valid_tau_string,
+    lambda_bound,
     orbit_extremes,
     orbit_partition,
     sigma_zero,
@@ -157,6 +158,25 @@ class TestEnumerateLambda:
         with pytest.raises(ValueError):
             enumerate_lambda((13,), 12)
         assert enumerate_lambda((2, 1), 3)  # explicit bound admits the input
+
+
+class TestLambdaBound:
+    def test_default_and_precedence(self, monkeypatch):
+        monkeypatch.delenv("ORBIT_LAMBDA_BOUND", raising=False)
+        assert lambda_bound() == 12
+        monkeypatch.setenv("ORBIT_LAMBDA_BOUND", "5")
+        assert lambda_bound() == 5
+        assert lambda_bound(7) == 7
+
+    def test_negative_override_rejected(self):
+        with pytest.raises(ValueError):
+            lambda_bound(-1)
+
+    @pytest.mark.parametrize("value", ["-3", "-0x1", "abc", ""])
+    def test_bad_environment_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("ORBIT_LAMBDA_BOUND", value)
+        with pytest.raises(ValueError, match="ORBIT_LAMBDA_BOUND"):
+            lambda_bound()
 
 
 class TestDimensions:
