@@ -238,8 +238,8 @@ def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
 
     Generated as multisets of indecomposable pieces fitting the letter
     budget, which is exponentially smaller than filtering all diagrams.
-    Distinct multisets always assemble to distinct diagrams, but the
-    result is deduplicated anyway and sorted into a fixed order.
+    Distinct multisets assemble to distinct diagrams, so the result needs
+    no deduplication; it is sorted into a fixed order.
     """
     if na < 0 or nb < 0:
         raise ValueError("letter counts must be nonnegative")
@@ -252,12 +252,12 @@ def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
         items.append(Indecomposable("beta", k))
     for k in range(min(na, nb) // 2, 0, -1):
         items.append(Indecomposable("epsilon", k))
-    found: set[Diagram] = set()
+    found: list[Diagram] = []
     acc: list[Indecomposable] = []
 
     def rec(start: int, ra: int, rb: int) -> None:
         if ra == 0 and rb == 0:
-            found.add(recompose(acc))
+            found.append(recompose(acc))
             return
         for idx in range(start, len(items)):
             ca, cb = items[idx].letter_counts()

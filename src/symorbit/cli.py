@@ -28,10 +28,6 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _cmd_normal(args) -> int:
     lam = parse_partition(args.partition)
     certify = args.certify
@@ -59,7 +55,7 @@ def _cmd_normal(args) -> int:
     else:
         line = f"NOT normal (step at row {verdict.witness})"
     if verdict.gap_certificate is not None:
-        line += f"; min gap {_fraction_str(verdict.gap_certificate)}"
+        line += f"; min gap {verdict.gap_certificate}"
     print(line)
     return 0
 
@@ -83,7 +79,7 @@ def _cmd_strata(args) -> int:
         dim = Fraction(row["dim_num4"], 4)
         print(
             f" {marker} {tau_text}    mu={format_partition(tuple(row['mu']))}"
-            f"  dim={_fraction_str(dim)}"
+            f"  dim={dim}"
         )
     return 0
 

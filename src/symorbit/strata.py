@@ -7,11 +7,12 @@ edge, subject to three conditions: the i-th diagram has n_{i-1} a's and
 n_i b's, consecutive diagrams chain through b_partition == a_partition,
 and every diagram is ortho-symmetric.
 
-All dimension arithmetic is done in Fraction; every value produced here
-has denominator dividing 4 and no float ever appears.  The formulas are
-applied formally to every label, whether or not the stratum it names is
-nonempty, so integrality is never assumed (and holds only for special
-labels such as the maximal-rank one).
+Stratum dimensions are computed in integer quarter-units inside and
+returned as Fraction at the API: every value has denominator dividing 4
+and no float ever appears.  The formulas are applied formally to every
+label, whether or not the stratum it names is nonempty, so integrality
+is never assumed (and holds only for special labels such as the
+maximal-rank one).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 from . import abdiagrams as ab
 from .partitions import Partition, dominates, dual
@@ -164,6 +166,23 @@ def is_valid_tau_string(tau: TauString, spec: StrataSpec) -> bool:
     )
 
 
+def _weight4(diagram: ab.Diagram) -> int:
+    """Four times a diagram's share of the stratum dimension: o - 2*Delta."""
+    return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
+
+
+def _dim4(spec: StrataSpec, mu: Partition, weight4: int) -> int:
+    """Four times the dimension of a stratum over the orbit mu.
+
+    Twice the orbit dimension, n^2 - sum of squared columns of mu, plus
+    the per-edge bulk terms 2 n_i n_{i+1} - n_i - n_{i+1}, plus weight4,
+    the sum of _weight4 over the label's diagrams.
+    """
+    dims = spec.dims
+    bulk = sum(2 * a * b - a - b for a, b in zip(dims, dims[1:]))
+    return dims[0] ** 2 - sum(c * c for c in dual(mu)) + bulk + weight4
+
+
 def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
     """Exact stratum dimension from the label.
 
@@ -180,48 +199,68 @@ def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
                 f"column {i + 1} has letters ({ab.a_count(diagram)}, {ab.b_count(diagram)}),"
                 f" spec wants ({dims[i]}, {dims[i + 1]})"
             )
-    total = dim_orbit(orbit_partition(tau)) / 2
-    for i in range(spec.t):
-        total += Fraction(dims[i] * dims[i + 1], 2) - Fraction(dims[i] + dims[i + 1], 4)
-    for diagram in tau:
-        total += Fraction(ab.o_stat(diagram), 4) - Fraction(ab.delta_stat(diagram), 2)
-    return total
+    weight4 = sum(_weight4(diagram) for diagram in tau)
+    return Fraction(_dim4(spec, orbit_partition(tau), weight4), 4)
+
+
+def _check_bound(lam: Partition, bound: int | None) -> None:
+    limit = lambda_bound(bound)
+    if sum(lam) > limit:
+        raise ValueError(
+            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
+            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
+        )
+
+
+_Edge = tuple[ab.Diagram, Partition, int]  # (diagram, b_partition, weight4)
 
 
 @lru_cache(maxsize=None)
-def _ortho_by_a_partition(na: int, nb: int) -> dict[Partition, tuple[ab.Diagram, ...]]:
-    groups: dict[Partition, list[ab.Diagram]] = {}
-    for diagram in ab.enumerate_ortho(na, nb):
-        groups.setdefault(ab.a_partition(diagram), []).append(diagram)
+def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
+    """The ortho-symmetric diagrams with na a's and nb b's as fold edges.
+
+    Edges are grouped by a-partition, each group in enumerate_ortho order;
+    the key None holds every edge in that order, for the first column.
+    """
+    every = tuple(
+        (diagram, ab.b_partition(diagram), _weight4(diagram))
+        for diagram in ab.enumerate_ortho(na, nb)
+    )
+    groups: dict[Partition | None, list[_Edge]] = {None: every}
+    for edge in every:
+        groups.setdefault(ab.a_partition(edge[0]), []).append(edge)
     return {key: tuple(val) for key, val in groups.items()}
 
 
-@lru_cache(maxsize=128)
-def _enumerate_lambda(lam: Partition) -> tuple[TauString, ...]:
-    spec = strata_spec(lam)
-    dims = spec.dims
-    t = spec.t
-    memo: dict[tuple[int, Partition | None], tuple[TauString, ...]] = {}
+def _fold(lam: Partition, leaf, extend, combine):
+    """Fold the stratum labels of lam over (column, required a-partition).
 
-    def suffixes(i: int, required: Partition | None) -> tuple[TauString, ...]:
+    The value of a state is combine() of extend(diagram, weight4, value of
+    the next state) over its edges, in enumerate_ortho order; states from
+    which no label completes have value None and are skipped.  Past the
+    last column the value is leaf.  Yields (first diagram, value) for the
+    first column, whose a-partition is the label's orbit.
+    """
+    dims = strata_spec(lam).dims
+    t = len(dims) - 1
+    memo: dict[tuple[int, Partition], object] = {}
+
+    def state(i: int, required: Partition):
         if i == t:
-            return ((),)
+            return leaf
         key = (i, required)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if required is None:
-            candidates = ab.enumerate_ortho(dims[i], dims[i + 1])
-        else:
-            candidates = _ortho_by_a_partition(dims[i], dims[i + 1]).get(required, ())
-        out: list[TauString] = []
-        for diagram in candidates:
-            for rest in suffixes(i + 1, ab.b_partition(diagram)):
-                out.append((diagram,) + rest)
-        memo[key] = tuple(out)
+        if key not in memo:
+            values = [value for _, value in edges(i, required)]
+            memo[key] = combine(values) if values else None
         return memo[key]
 
-    return suffixes(0, None)
+    def edges(i: int, required: Partition | None):
+        for diagram, b_part, weight4 in _edges(dims[i], dims[i + 1]).get(required, ()):
+            sub = state(i + 1, b_part)
+            if sub is not None:
+                yield diagram, extend(diagram, weight4, sub)
+
+    return edges(0, None)
 
 
 def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString]:
@@ -232,13 +271,14 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
     memoized per (column, required a-partition).  The maximal-rank label
     always appears exactly once.
     """
-    limit = lambda_bound(bound)
-    if sum(lam) > limit:
-        raise ValueError(
-            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
-            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
-        )
-    return list(_enumerate_lambda(lam))
+    _check_bound(lam, bound)
+    labels = _fold(
+        lam,
+        [()],
+        lambda diagram, _w, rest: [(diagram,) + tail for tail in rest],
+        lambda values: list(chain.from_iterable(values)),
+    )
+    return list(chain.from_iterable(suffixes for _, suffixes in labels))
 
 
 @dataclass(frozen=True)
@@ -250,77 +290,41 @@ class OrbitSummary:
     witness: TauString  # a label of this orbit attaining max_dim
 
 
-def _column_weight_term(diagram: ab.Diagram) -> Fraction:
-    return Fraction(ab.o_stat(diagram), 4) - Fraction(ab.delta_stat(diagram), 2)
+def _best(values: list[tuple[int, int, TauString]]) -> tuple[int, int, TauString]:
+    """Largest weight4 with its label (the first one wins ties), and the count."""
+    top = values[0]
+    count = 0
+    for value in values:
+        count += value[1]
+        if value[0] > top[0]:
+            top = value
+    return top[0], count, top[2]
 
 
 def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, OrbitSummary]:
     """Per orbit: label count, maximal stratum dimension, and a witness.
 
     The dimension formula is additive over columns once the orbit is
-    fixed, so the maximum and the count are computed by dynamic
-    programming on (column, chained partition) states instead of walking
-    every label; the label spaces grow far too fast for that.
+    fixed, so the maximum and the count are computed by the label fold,
+    carrying (largest weight4, count, first label attaining it) per state,
+    instead of walking every label; the label spaces grow far too fast
+    for that.  Orbits appear in the order of their first label.
     """
-    limit = lambda_bound(bound)
-    if sum(lam) > limit:
-        raise ValueError(
-            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
-            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
-        )
+    _check_bound(lam, bound)
     spec = strata_spec(lam)
-    dims, t = spec.dims, spec.t
-    memo: dict[tuple[int, Partition], tuple[Fraction, int, TauString]] = {}
-
-    def best(i: int, required: Partition) -> tuple[Fraction, int, TauString]:
-        if i == t:
-            return (Fraction(0), 1, ())
-        key = (i, required)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best_val: Fraction | None = None
-        best_tail: TauString = ()
-        count = 0
-        for diagram in _ortho_by_a_partition(dims[i], dims[i + 1]).get(required, ()):
-            sub_val, sub_count, sub_tail = best(i + 1, ab.b_partition(diagram))
-            if sub_count == 0:
-                continue
-            count += sub_count
-            val = _column_weight_term(diagram) + sub_val
-            if best_val is None or val > best_val:
-                best_val = val
-                best_tail = (diagram,) + sub_tail
-        result = (best_val if best_val is not None else Fraction(0), count, best_tail)
-        memo[key] = result
-        return result
-
-    bulk = sum(
-        (Fraction(dims[i] * dims[i + 1], 2) - Fraction(dims[i] + dims[i + 1], 4)
-         for i in range(t)),
-        Fraction(0),
-    )
-    partial: dict[Partition, tuple[Fraction, int, TauString]] = {}
-    for diagram in ab.enumerate_ortho(dims[0], dims[1]):
-        mu = ab.a_partition(diagram)
-        sub_val, sub_count, sub_tail = best(1, ab.b_partition(diagram))
-        if sub_count == 0:
-            continue
-        val = _column_weight_term(diagram) + sub_val
-        label = (diagram,) + sub_tail
-        prev = partial.get(mu)
-        if prev is None:
-            partial[mu] = (val, sub_count, label)
-        else:
-            pv, pc, pl = prev
-            if val > pv:
-                partial[mu] = (val, pc + sub_count, label)
-            else:
-                partial[mu] = (pv, pc + sub_count, pl)
-    return {
-        mu: OrbitSummary(dim_orbit(mu) / 2 + bulk + val, count, label)
-        for mu, (val, count, label) in partial.items()
-    }
+    by_orbit: dict[Partition, list[tuple[int, int, TauString]]] = {}
+    for diagram, value in _fold(
+        lam,
+        (0, 1, ()),
+        lambda diagram, weight4, sub: (weight4 + sub[0], sub[1], (diagram,) + sub[2]),
+        _best,
+    ):
+        by_orbit.setdefault(ab.a_partition(diagram), []).append(value)
+    summaries = {}
+    for mu, values in by_orbit.items():
+        weight4, count, witness = _best(values)
+        summaries[mu] = OrbitSummary(Fraction(_dim4(spec, mu, weight4), 4), count, witness)
+    return summaries
 
 
 def strata_report(lam: Partition, bound: int | None = None) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import abdiagrams as ab
@@ -106,13 +107,8 @@ def normality_witness(lam: Partition) -> int | None:
 
 def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | None:
     """Smallest dimension drop from the maximal-rank stratum to any other."""
-    top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
-    gaps = [
-        top_dim - summary.max_dim
-        for mu, summary in orbit_extremes(lam, bound).items()
-        if mu != lam
-    ]
-    return min(gaps) if gaps else None
+    gaps = (gap for _mu, gap, _count, _witness in _orbit_gaps(lam, bound))
+    return min(gaps, default=None)
 
 
 def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -> NormalityVerdict:
@@ -509,14 +505,6 @@ def _gap_bound_loop(n_max: int, stronger: bool):
     return instances, ces, None
 
 
-def _run_comb_big(n_max: int):
-    return _gap_bound_loop(n_max, stronger=False)
-
-
-def _run_comb_bigr(n_max: int):
-    return _gap_bound_loop(n_max, stronger=True)
-
-
 def _run_ci_codim(n_max: int):
     instances = 0
     ces: list[dict] = []
@@ -646,11 +634,11 @@ SUITES: dict[str, _Suite] = {
         "columnwise deficit sum <= c+q, with equality c+1 when q = 1",
     ),
     "comb_big": _Suite(
-        _run_comb_big, 9, 9, 1,
+        partial(_gap_bound_loop, stronger=False), 9, 9, 1,
         "stratum gap >= (2r - c - q)/4 for every label",
     ),
     "comb_bigr": _Suite(
-        _run_comb_bigr, 9, 9, 1,
+        partial(_gap_bound_loop, stronger=True), 9, 9, 1,
         "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b",
     ),
     "ci_codim": _Suite(

@@ -9,6 +9,7 @@ from symorbit.abdiagrams import (
     a_partition,
     b_count,
     b_partition,
+    delta_stat,
     enumerate_all_diagrams,
     format_diagram,
     o_stat,
@@ -82,6 +83,19 @@ def lambda_oracle(lam):
 
     extend([], 0)
     return set(out)
+
+
+def dim_stratum_oracle(label, spec):
+    """Stratum dimension term by term in Fraction, straight from the
+    statistics: half the orbit dimension, the per-edge bulk terms, and
+    o/4 - Delta/2 per diagram."""
+    dims = spec.dims
+    total = dim_orbit(orbit_partition(label)) / 2
+    for i in range(spec.t):
+        total += Fraction(dims[i] * dims[i + 1], 2) - Fraction(dims[i] + dims[i + 1], 4)
+    for diagram in label:
+        total += Fraction(o_stat(diagram), 4) - Fraction(delta_stat(diagram), 2)
+    return total
 
 
 class TestStrataSpec:
@@ -223,6 +237,14 @@ class TestDimensions:
             assert top_dim == dim_M(lam) - dim_N(lam)
             assert top_dim.denominator == 1
 
+    def test_dim_stratum_matches_oracle(self):
+        for lam in partitions_upto(7):
+            spec = strata_spec(lam)
+            for label in enumerate_lambda(lam):
+                dim = dim_stratum(label, spec)
+                assert isinstance(dim, Fraction)
+                assert dim == dim_stratum_oracle(label, spec)
+
     def test_all_dims_are_quarter_integers(self):
         for lam in partitions_upto(6):
             spec = strata_spec(lam)
@@ -308,23 +330,34 @@ class TestDeficitSumBound:
 
 class TestOrbitExtremes:
     def test_matches_enumeration(self):
-        for lam in partitions_upto(6):
+        # every lam with |lam| <= 10 and at most 2,000 labels, against the
+        # labels walked one by one and the Fraction oracle
+        checked = 0
+        for lam in partitions_upto(10):
+            summaries = orbit_extremes(lam)
+            if sum(s.count for s in summaries.values()) > 2000:
+                continue
+            checked += 1
             spec = strata_spec(lam)
             by_orbit = {}
             for label in enumerate_lambda(lam):
                 mu = orbit_partition(label)
-                dim = dim_stratum(label, spec)
-                best, count = by_orbit.get(mu, (None, 0))
-                by_orbit[mu] = (dim if best is None or dim > best else best, count + 1)
-            summaries = orbit_extremes(lam)
-            assert set(summaries) == set(by_orbit)
+                dim = dim_stratum_oracle(label, spec)
+                best, count, first = by_orbit.get(mu, (None, 0, None))
+                if best is None or dim > best:
+                    best, first = dim, label
+                by_orbit[mu] = (best, count + 1, first)
+            assert list(summaries) == list(by_orbit)  # orbits in label order
             for mu, summary in summaries.items():
-                best, count = by_orbit[mu]
+                best, count, first = by_orbit[mu]
+                assert isinstance(summary.max_dim, Fraction)
                 assert summary.max_dim == best
                 assert summary.count == count
+                assert summary.witness == first  # the first label wins ties
                 assert orbit_partition(summary.witness) == mu
                 assert is_valid_tau_string(summary.witness, spec)
                 assert dim_stratum(summary.witness, spec) == best
+        assert checked == 119
 
     def test_total_counts(self):
         for lam in partitions_upto(7):

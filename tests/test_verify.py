@@ -52,6 +52,10 @@ class TestMinimumGap:
         assert minimum_stratum_gap((1, 1)) is None
         assert minimum_stratum_gap((2,)) == 1
 
+    def test_fraction_valued(self):
+        for lam in [(2, 1), (2,), (3, 1), (4, 2, 1), (5,)]:
+            assert isinstance(minimum_stratum_gap(lam), Fraction)
+
 
 class TestCiCondition:
     def test_two_strata_example(self):
