@@ -208,28 +208,41 @@ def delta_stat(diagram: Diagram) -> int:
     return sum(odd[("a", length)] * odd[("b", length)] for length in lengths)
 
 
-@lru_cache(maxsize=None)
-def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
-    """Every diagram (ortho-symmetric or not) with exactly na a's and nb b's."""
-    if na < 0 or nb < 0:
-        raise ValueError("letter counts must be nonnegative")
-    types = [(first, length) for length in range(na + nb, 0, -1) for first in LETTERS]
-    out: list[Diagram] = []
-    acc: list[Row] = []
+def _multisets(items, na: int, nb: int) -> list[tuple]:
+    """Every multiset of items using exactly na a's and nb b's.
+
+    items holds (item, a_count, b_count) triples; each multiset lists its
+    items in item order, and the multisets come in lexicographic order.
+    """
+    out: list[tuple] = []
+    acc: list = []
 
     def rec(start: int, ra: int, rb: int) -> None:
         if ra == 0 and rb == 0:
             out.append(tuple(acc))
             return
-        for idx in range(start, len(types)):
-            ca, cb = row_letter_counts(types[idx])
+        for idx in range(start, len(items)):
+            item, ca, cb = items[idx]
             if ca <= ra and cb <= rb:
-                acc.append(types[idx])
+                acc.append(item)
                 rec(idx, ra - ca, rb - cb)
                 acc.pop()
 
     rec(0, na, nb)
-    return tuple(out)
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
+    """Every diagram (ortho-symmetric or not) with exactly na a's and nb b's.
+
+    Rows are taken in canonical order, so the diagrams come out sorted by
+    diagram_key.
+    """
+    if na < 0 or nb < 0:
+        raise ValueError("letter counts must be nonnegative")
+    rows = [(first, length) for length in range(na + nb, 0, -1) for first in LETTERS]
+    return tuple(_multisets([(row, *row_letter_counts(row)) for row in rows], na, nb))
 
 
 @lru_cache(maxsize=None)
@@ -252,21 +265,8 @@ def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
         items.append(Indecomposable("beta", k))
     for k in range(min(na, nb) // 2, 0, -1):
         items.append(Indecomposable("epsilon", k))
-    found: list[Diagram] = []
-    acc: list[Indecomposable] = []
-
-    def rec(start: int, ra: int, rb: int) -> None:
-        if ra == 0 and rb == 0:
-            found.append(recompose(acc))
-            return
-        for idx in range(start, len(items)):
-            ca, cb = items[idx].letter_counts()
-            if ca <= ra and cb <= rb:
-                acc.append(items[idx])
-                rec(idx, ra - ca, rb - cb)
-                acc.pop()
-
-    rec(0, na, nb)
+    counted = [(piece, *piece.letter_counts()) for piece in items]
+    found = [recompose(pieces) for pieces in _multisets(counted, na, nb)]
     return tuple(sorted(found, key=diagram_key))
 
 

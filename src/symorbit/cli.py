@@ -85,19 +85,11 @@ def _cmd_strata(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    cap = 10**9 if args.full_counterexamples else verify.COUNTEREXAMPLE_CAP
     if args.lemma == "all":
-        reports = verify.run_all(
-            args.max_n,
-            max_counterexamples=10**9 if args.full_counterexamples else 10,
-        )
+        reports = verify.run_all(args.max_n, max_counterexamples=cap)
     else:
-        reports = [
-            verify.run_suite(
-                args.lemma,
-                args.max_n,
-                max_counterexamples=10**9 if args.full_counterexamples else 10,
-            )
-        ]
+        reports = [verify.run_suite(args.lemma, args.max_n, max_counterexamples=cap)]
     if args.format == "json":
         print(_dump([r.to_dict() for r in reports]))
     else:
@@ -196,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--full-counterexamples",
         action="store_true",
-        help="do not cap the counterexample list at 10 per suite",
+        help=f"do not cap the counterexample list at {verify.COUNTEREXAMPLE_CAP} per suite",
     )
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -2,15 +2,20 @@
 
 is_normal applies the 1-step test to a partition; everything else here
 certifies, by exhaustive enumeration up to a size bound, the exact
-identities and inequalities that make that test correct.  Each suite
-iterates its full instance space in a fixed order and reports the first
-few counterexamples, so two runs of the same suite agree byte for byte
-(apart from timing).
+identities and inequalities that make that test correct.
+
+A lemma suite is an instance space plus a check: space(n_max) yields
+instance tuples in a fixed order, check(*instance) yields each one's
+counterexamples, and _each(space, check) is the runner that counts them.
+A new suite is a space (_pairs or _up_to may serve), a check and a
+SUITES entry; suites counting triples or labels keep their own runner.
+Reports are byte-identical across runs apart from timing.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -139,21 +144,11 @@ def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
     The comparison runs over the worst (highest-dimensional) label of each
     orbit, which bounds every other label of that orbit at once.
     """
-    if not lam:
-        return StrataCheck(lam, "skipped", "empty partition", 0, None)
-    if not s_step(lam, 2):
-        return StrataCheck(lam, "skipped", "precondition unmet: not 2-step", 0, None)
-    instances = 0
-    min_gap: Fraction | None = None
-    ces: list[dict] = []
-    for _mu, gap, count, witness in _orbit_gaps(lam, bound):
-        instances += count
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+    def judge(mu, gap, count, witness):
         if gap <= 0:
-            ces.append(_label_record(lam, witness, gap))
-    status = "failed" if ces else "ok"
-    return StrataCheck(lam, status, None, instances, min_gap, ces)
+            yield _label_record(lam, witness, gap)
+
+    return _gap_check(lam, 2, bound, judge)
 
 
 def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck:
@@ -165,23 +160,12 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
     failed; an orbit fitting no route would be a counterexample, but
     c >= q >= 1 makes the three routes exhaustive.
     """
-    if not lam:
-        return StrataCheck(lam, "skipped", "empty partition", 0, None)
-    if not s_step(lam, 1):
-        return StrataCheck(lam, "skipped", "precondition unmet: not 1-step", 0, None)
-    instances = 0
-    min_gap: Fraction | None = None
-    ces: list[dict] = []
-    cases: dict[str, int] = {}
+    cases: Counter[str] = Counter()
     flagged: list[dict] = []
-    for mu, gap, count, witness in _orbit_gaps(lam, bound):
-        instances += count
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
+
+    def judge(mu, gap, count, witness):
         if gap < 2:
-            record = _label_record(lam, witness, gap)
-            record["problem"] = "gap below 2"
-            ces.append(record)
+            yield _label_record(lam, witness, gap, problem="gap below 2")
         stats = diff_stats(lam, mu)
         if stats.q == 2 and stats.c == 2:
             bucket = "q2c2"
@@ -200,22 +184,43 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
             )
         else:
             bucket = "uncovered"
-            record = _label_record(lam, witness, gap)
-            record["problem"] = "case coverage"
-            record.update({"q": stats.q, "c": stats.c, "r": stats.r})
-            ces.append(record)
-        cases[bucket] = cases.get(bucket, 0) + count
+            yield _label_record(lam, witness, gap, problem="case coverage",
+                                q=stats.q, c=stats.c, r=stats.r)
+        cases[bucket] += count
+
+    result = _gap_check(lam, 1, bound, judge)
+    if result.status != "skipped":
+        result.cases = dict(sorted(cases.items()))
+        result.flagged = flagged
+    return result
+
+
+def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
+    """Count labels and the minimum gap over the orbits below an s-step lam;
+    judge(mu, gap, count, witness) yields one orbit's counterexamples."""
+    if not lam:
+        return StrataCheck(lam, "skipped", "empty partition", 0, None)
+    if not s_step(lam, s):
+        return StrataCheck(lam, "skipped", f"precondition unmet: not {s}-step", 0, None)
+    instances = 0
+    min_gap: Fraction | None = None
+    ces: list[dict] = []
+    for mu, gap, count, witness in _orbit_gaps(lam, bound):
+        instances += count
+        if min_gap is None or gap < min_gap:
+            min_gap = gap
+        ces.extend(judge(mu, gap, count, witness))
     status = "failed" if ces else "ok"
-    return StrataCheck(lam, status, None, instances, min_gap, ces,
-                       cases=dict(sorted(cases.items())), flagged=flagged)
+    return StrataCheck(lam, status, None, instances, min_gap, ces)
 
 
-def _label_record(lam: Partition, tau: TauString, gap: Fraction) -> dict:
+def _label_record(lam: Partition, tau: TauString, gap: Fraction, **fields) -> dict:
     return {
         "lambda": list(lam),
         "tau": [ab.format_diagram(d) for d in tau],
         "mu": list(orbit_partition(tau)),
         "gap_num4": int(gap * 4),
+        **fields,
     }
 
 
@@ -226,13 +231,37 @@ def _label_record(lam: Partition, tau: TauString, gap: Fraction) -> dict:
 Runner = Callable[[int], tuple[int, list[dict], dict | None]]
 
 
-def _pairs(n_max: int):
-    """Every dominating pair up to n_max as (table, i, j), by table index."""
+def _each(space, check) -> Runner:
+    """Runner counting one instance per item of space and collecting check's finds."""
+    def runner(n_max: int):
+        instances = 0
+        ces: list[dict] = []
+        for instance in space(n_max):
+            instances += 1
+            ces.extend(check(*instance))
+        return instances, ces, None
+
+    return runner
+
+
+def _up_to(n_max: int):
+    """Every partition of 1..n_max, in enumeration order."""
+    for n in range(1, n_max + 1):
+        yield from _partitions(n)
+
+
+def _pairs(n_max: int, strict: bool = False):
+    """Every dominating pair up to n_max as (table, i, j); strict drops i == j."""
     for n in range(1, n_max + 1):
         table = _table(n)
         for i, mask in enumerate(table.below):
-            for j in _bits(mask):
+            for j in _bits(mask & ~(1 << i) if strict else mask):
                 yield table, i, j
+
+
+def _pair_record(table, i: int, j: int, **fields) -> dict:
+    """Counterexample naming the pair (parts[i], parts[j]), then fields."""
+    return {"lambda": list(table.parts[i]), "mu": list(table.parts[j]), **fields}
 
 
 def _monotone(values: tuple[int, ...]) -> bool:
@@ -241,35 +270,28 @@ def _monotone(values: tuple[int, ...]) -> bool:
     )
 
 
-def _run_diff_ind(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    for table, i, j in _pairs(n_max):
-        if i == j:
-            continue
-        instances += 1
-        lam, mu = table.parts[i], table.parts[j]
-        chain = degeneration_chain(lam, mu)
-        idx = [table.index.get(p) for p in chain]
-        problems = []
-        if chain[0] != lam or chain[-1] != mu:
-            problems.append("endpoints")
-        if len(chain) != _qcr(table, i, j)[0] + 1:
-            problems.append("length")
-        for a, b in zip(idx, idx[1:]):
-            if (a is None or b is None or a == b or not table.below[a] >> b & 1
-                    or _qcr(table, a, b)[0] != 1):
-                problems.append("step")
-                break
-        if None not in idx:  # a chain leaving P(n) already fails "step"
-            if not all(map(_monotone, zip(*(table.padded[k] for k in idx)))):
-                problems.append("row monotonicity")
-            duals = (table.padded[table.dual[k]] for k in idx)
-            if not all(map(_monotone, zip(*duals))):
-                problems.append("column monotonicity")
-        if problems:
-            ces.append({"lambda": list(lam), "mu": list(mu), "problems": problems})
-    return instances, ces, None
+def _check_diff_ind(table, i: int, j: int):
+    lam, mu = table.parts[i], table.parts[j]
+    chain = degeneration_chain(lam, mu)
+    idx = [table.index.get(p) for p in chain]
+    problems = []
+    if chain[0] != lam or chain[-1] != mu:
+        problems.append("endpoints")
+    if len(chain) != _qcr(table, i, j)[0] + 1:
+        problems.append("length")
+    for a, b in zip(idx, idx[1:]):
+        if (a is None or b is None or a == b or not table.below[a] >> b & 1
+                or _qcr(table, a, b)[0] != 1):
+            problems.append("step")
+            break
+    if None not in idx:  # a chain leaving P(n) already fails "step"
+        if not all(map(_monotone, zip(*(table.padded[k] for k in idx)))):
+            problems.append("row monotonicity")
+        duals = (table.padded[table.dual[k]] for k in idx)
+        if not all(map(_monotone, zip(*duals))):
+            problems.append("column monotonicity")
+    if problems:
+        yield _pair_record(table, i, j, problems=problems)
 
 
 def _strictness_hypothesis(table, i: int, j: int) -> bool:
@@ -280,98 +302,64 @@ def _strictness_hypothesis(table, i: int, j: int) -> bool:
             or any(b > a + 1 for a, b in zip(lam, mu)))
 
 
-def _run_diff_usef(n_max: int):
-    instances = 0
-    ces: list[dict] = []
+def _step_pairs(n_max: int):
+    """(s, table, i, j) for s in (1, 2), s-step parts[i] and parts[j] strictly below."""
     for n in range(1, n_max + 1):
         table = _table(n)
         for s in (1, 2):
             for i, lam in enumerate(table.parts):
-                if not s_step(lam, s):
-                    continue
-                for j in _bits(table.below[i] & ~(1 << i)):
-                    instances += 1
-                    q, c, r = _qcr(table, i, j)
-                    lhs, rhs = s * r, c + q
-                    strict = _strictness_hypothesis(table, i, j)
-                    if lhs < rhs or (strict and lhs == rhs):
-                        ces.append(
-                            {
-                                "s": s,
-                                "lambda": list(lam),
-                                "mu": list(table.parts[j]),
-                                "q": q,
-                                "c": c,
-                                "r": r,
-                                "strict_expected": strict,
-                            }
-                        )
-    return instances, ces, None
+                if s_step(lam, s):
+                    for j in _bits(table.below[i] & ~(1 << i)):
+                        yield s, table, i, j
+
+
+def _check_diff_usef(s: int, table, i: int, j: int):
+    q, c, r = _qcr(table, i, j)
+    lhs, rhs = s * r, c + q
+    strict = _strictness_hypothesis(table, i, j)
+    if lhs < rhs or (strict and lhs == rhs):
+        yield _pair_record(table, i, j, s=s, q=q, c=c, r=r, strict_expected=strict)
 
 
 def _run_qcr_identities(n_max: int):
+    """Pairs and the triples below them; a pair's q/c/r serve all its triples."""
     instances = 0
     ces: list[dict] = []
     for table, i, j in _pairs(n_max):
         instances += 1
-        lam, mu = table.parts[i], table.parts[j]
         q, c, r = _qcr(table, i, j)
         equal = i == j
         if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
-            ces.append({"lambda": list(lam), "mu": list(mu), "problem": "vanishing"})
+            ces.append(_pair_record(table, i, j, problem="vanishing"))
         if c < q:
-            ces.append({"lambda": list(lam), "mu": list(mu), "problem": "c < q"})
+            ces.append(_pair_record(table, i, j, problem="c < q"))
         for k in _bits(table.below[j]):
             instances += 1
             _, c_bot, r_bot = _qcr(table, j, k)
             _, c_all, r_all = _qcr(table, i, k)
             if c_all != c + c_bot or r_all != r + r_bot:
                 ces.append(
-                    {
-                        "lambda": list(lam),
-                        "mu": list(mu),
-                        "nu": list(table.parts[k]),
-                        "problem": "additivity",
-                    }
+                    _pair_record(table, i, j, nu=list(table.parts[k]), problem="additivity")
                 )
     return instances, ces, None
 
 
-def _run_comb_col(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    for table, i, j in _pairs(n_max):
-        instances += 1
-        lhat, mhat = table.padded[table.dual[i]], table.padded[table.dual[j]]
-        lhs = sum(b * b - a * a for a, b in zip(lhat, mhat))
-        rhs = 2 * _qcr(table, i, j)[2]
-        if lhs != rhs:
-            ces.append({"lambda": list(table.parts[i]), "mu": list(table.parts[j]),
-                        "lhs": lhs, "rhs": rhs})
-    return instances, ces, None
+def _check_comb_col(table, i: int, j: int):
+    lhat, mhat = table.padded[table.dual[i]], table.padded[table.dual[j]]
+    lhs = sum(b * b - a * a for a, b in zip(lhat, mhat))
+    rhs = 2 * _qcr(table, i, j)[2]
+    if lhs != rhs:
+        yield _pair_record(table, i, j, lhs=lhs, rhs=rhs)
 
 
-def _run_o_sums(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    for table, i, j in _pairs(n_max):
-        instances += 1
-        lam, mu = table.parts[i], table.parts[j]
-        t = lam[0]
-        sigma_sum = sum(ab.o_stat(d) for d in sigma_zero(mu, t))
-        tau_sum = sum(ab.o_stat(d) for d in tau_zero(lam))
-        n = sum(lam)
-        if sigma_sum != n or tau_sum != n:
-            ces.append(
-                {
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "sigma_sum": sigma_sum,
-                    "tau_sum": tau_sum,
-                    "n": n,
-                }
-            )
-    return instances, ces, None
+def _check_o_sums(table, i: int, j: int):
+    lam, mu = table.parts[i], table.parts[j]
+    t = lam[0]
+    sigma_sum = sum(ab.o_stat(d) for d in sigma_zero(mu, t))
+    tau_sum = sum(ab.o_stat(d) for d in tau_zero(lam))
+    n = sum(lam)
+    if sigma_sum != n or tau_sum != n:
+        yield _pair_record(table, i, j, sigma_sum=sigma_sum, tau_sum=tau_sum, n=n)
 
 
 def _all_a_bases(letter_max: int):
@@ -385,29 +373,27 @@ def _all_a_bases(letter_max: int):
 AUG_LETTER_BUDGET = 4
 
 
-def _run_comb_maxab(n_max: int):
-    instances = 0
-    ces: list[dict] = []
+def _augmentations(n_max: int):
+    """(base, da, db, grown) for every da + db within the letter budget."""
     for base in _all_a_bases(n_max):
-        base_o = ab.o_stat(base)
         for da in range(AUG_LETTER_BUDGET + 1):
             for db in range(AUG_LETTER_BUDGET + 1 - da):
-                limit = max(da, db)
                 for grown in ab.aug(base, da, db):
-                    instances += 1
-                    value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - base_o
-                    if value > limit:
-                        ces.append(
-                            {
-                                "base": ab.format_diagram(base),
-                                "da": da,
-                                "db": db,
-                                "result": ab.format_diagram(grown),
-                                "value": value,
-                                "limit": limit,
-                            }
-                        )
-    return instances, ces, None
+                    yield base, da, db, grown
+
+
+def _check_comb_maxab(base, da: int, db: int, grown):
+    limit = max(da, db)
+    value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - ab.o_stat(base)
+    if value > limit:
+        yield {
+            "base": ab.format_diagram(base),
+            "da": da,
+            "db": db,
+            "result": ab.format_diagram(grown),
+            "value": value,
+            "limit": limit,
+        }
 
 
 def _run_comb_maxab2(n_max: int):
@@ -436,26 +422,12 @@ def _run_comb_maxab2(n_max: int):
     return instances, ces, None
 
 
-def _run_comb_clem(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    for table, i, j in _pairs(n_max):
-        instances += 1
-        lam, mu = table.parts[i], table.parts[j]
-        da, db = d_lists(lam, mu)
-        total = sum(max(x, y) for x, y in zip(da, db))
-        q, c, _ = _qcr(table, i, j)
-        if total > c + q or (q == 1 and total != c + 1):
-            ces.append(
-                {
-                    "lambda": list(lam),
-                    "mu": list(mu),
-                    "sum_max": total,
-                    "c": c,
-                    "q": q,
-                }
-            )
-    return instances, ces, None
+def _check_comb_clem(table, i: int, j: int):
+    da, db = d_lists(table.parts[i], table.parts[j])
+    total = sum(max(x, y) for x, y in zip(da, db))
+    q, c, _ = _qcr(table, i, j)
+    if total > c + q or (q == 1 and total != c + 1):
+        yield _pair_record(table, i, j, sum_max=total, c=c, q=q)
 
 
 def _lone_b_rows(lam: Partition, mu: Partition, t: int) -> int:
@@ -482,113 +454,90 @@ def _gap_bound_loop(n_max: int, stronger: bool):
     """
     instances = 0
     ces: list[dict] = []
-    for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            spec = strata_spec(lam)
-            top_dim = dim_stratum(tau_zero(lam), spec)
-            for mu, summary in orbit_extremes(lam, n_max).items():
-                st = diff_stats(lam, mu)
-                required = Fraction(2 * st.r - st.c - st.q, 4)
+    for lam in _up_to(n_max):
+        spec = strata_spec(lam)
+        top_dim = dim_stratum(tau_zero(lam), spec)
+        for mu, summary in orbit_extremes(lam, n_max).items():
+            st = diff_stats(lam, mu)
+            required = Fraction(2 * st.r - st.c - st.q, 4)
+            if stronger:
+                ones = _lone_b_rows(lam, mu, spec.t)
+                if ones < 0:
+                    continue
+                required += Fraction(ones, 2)
+            instances += summary.count
+            gap = top_dim - summary.max_dim
+            if gap < required:
+                record = _label_record(lam, summary.witness, gap,
+                                       required_num4=int(required * 4))
                 if stronger:
-                    ones = _lone_b_rows(lam, mu, spec.t)
-                    if ones < 0:
-                        continue
-                    required += Fraction(ones, 2)
-                instances += summary.count
-                gap = top_dim - summary.max_dim
-                if gap < required:
-                    record = _label_record(lam, summary.witness, gap)
-                    record["required_num4"] = int(required * 4)
-                    if stronger:
-                        record["l"] = ones
-                    ces.append(record)
+                    record["l"] = ones
+                ces.append(record)
     return instances, ces, None
 
 
-def _run_ci_codim(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            instances += 1
-            spec = strata_spec(lam)
-            top_dim = dim_stratum(tau_zero(lam), spec)
-            expected = Fraction(dim_M(lam)) - dim_N(lam)
-            if top_dim != expected or top_dim.denominator != 1:
-                ces.append(
-                    {
-                        "lambda": list(lam),
-                        "dim_top_num4": int(top_dim * 4),
-                        "dimM": dim_M(lam),
-                        "dimN_num4": int(dim_N(lam) * 4),
-                    }
-                )
-    return instances, ces, None
+def _single_partitions(n_max: int):
+    for lam in _up_to(n_max):
+        yield (lam,)
+
+
+def _check_ci_codim(lam: Partition):
+    top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
+    expected = Fraction(dim_M(lam)) - dim_N(lam)
+    if top_dim != expected or top_dim.denominator != 1:
+        yield {
+            "lambda": list(lam),
+            "dim_top_num4": int(top_dim * 4),
+            "dimM": dim_M(lam),
+            "dimN_num4": int(dim_N(lam) * 4),
+        }
+
+
+def _s_step_checks(n_max: int, s: int, check):
+    """check(lam, n_max) for each s-step partition of 1..n_max, plus their totals."""
+    results = [check(lam, n_max) for lam in _up_to(n_max) if s_step(lam, s)]
+    ces = [ce for result in results for ce in result.counterexamples]
+    return results, sum(result.instances for result in results), ces
 
 
 def _run_ci_majineq(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    checked = 0
-    for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            if not s_step(lam, 2):
-                continue
-            checked += 1
-            result = check_ci_condition(lam, n_max)
-            instances += result.instances
-            ces.extend(result.counterexamples)
-    return instances, ces, {"partitions_checked": checked}
+    results, instances, ces = _s_step_checks(n_max, 2, check_ci_condition)
+    return instances, ces, {"partitions_checked": len(results)}
 
 
 def _run_nor_gap(n_max: int):
-    instances = 0
-    ces: list[dict] = []
-    cases: dict[str, int] = {}
-    flagged_orbits = 0
-    quarter_bound_short = 0  # general-route orbits whose quarter bound alone is < 2
-    checked = 0
-    for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            if not s_step(lam, 1):
-                continue
-            checked += 1
-            result = check_normality_gap(lam, n_max)
-            instances += result.instances
-            ces.extend(result.counterexamples)
-            for bucket, count in (result.cases or {}).items():
-                cases[bucket] = cases.get(bucket, 0) + count
-            flagged_orbits += len(result.flagged or [])
-            quarter_bound_short += sum(
-                1 for rec in (result.flagged or []) if rec["bound_num4"] < 8
-            )
+    results, instances, ces = _s_step_checks(n_max, 1, check_normality_gap)
+    cases: Counter[str] = Counter()
+    for result in results:
+        cases.update(result.cases)
+    flagged = [rec for result in results for rec in result.flagged]
     extras = {
-        "partitions_checked": checked,
+        "partitions_checked": len(results),
         "cases": dict(sorted(cases.items())),
-        "general_bound_orbits": flagged_orbits,
-        "general_bound_quarter_short": quarter_bound_short,
+        "general_bound_orbits": len(flagged),
+        # general-route orbits whose quarter bound alone is < 2
+        "general_bound_quarter_short": sum(1 for rec in flagged if rec["bound_num4"] < 8),
     }
     return instances, ces, extras
 
 
-def _run_ortho_equiv(n_max: int):
-    instances = 0
-    ces: list[dict] = []
+def _diagrams(n_max: int):
+    """Every diagram with at most n_max letters, by letter total, then a-count."""
     for total in range(n_max + 1):
         for na in range(total + 1):
             for diagram in ab.enumerate_all_diagrams(na, total - na):
-                instances += 1
-                balanced = ab.has_property_P(diagram)
-                splits = ab.decompose(diagram) is not None
-                if balanced != splits:
-                    ces.append(
-                        {
-                            "diagram": ab.format_diagram(diagram),
-                            "balanced_substrings": balanced,
-                            "decomposes": splits,
-                        }
-                    )
-    return instances, ces, None
+                yield (diagram,)
+
+
+def _check_ortho_equiv(diagram):
+    balanced = ab.has_property_P(diagram)
+    splits = ab.decompose(diagram) is not None
+    if balanced != splits:
+        yield {
+            "diagram": ab.format_diagram(diagram),
+            "balanced_substrings": balanced,
+            "decomposes": splits,
+        }
 
 
 @dataclass(frozen=True)
@@ -602,11 +551,11 @@ class _Suite:
 
 SUITES: dict[str, _Suite] = {
     "diff_ind": _Suite(
-        _run_diff_ind, 10, 12, 1,
+        _each(partial(_pairs, strict=True), _check_diff_ind), 10, 12, 1,
         "degeneration chains: endpoints, unit steps, monotone rows/columns",
     ),
     "diff_usef": _Suite(
-        _run_diff_usef, 10, 12, 1,
+        _each(_step_pairs, _check_diff_usef), 10, 12, 1,
         "s-step inequality s*r >= c+q with its strictness cases (s in {1,2})",
     ),
     "qcr_identities": _Suite(
@@ -614,15 +563,15 @@ SUITES: dict[str, _Suite] = {
         "q/c/r vanish together, c >= q, and c/r add along chains",
     ),
     "comb_col": _Suite(
-        _run_comb_col, 10, 12, 1,
+        _each(_pairs, _check_comb_col), 10, 12, 1,
         "column-square identity: sum of squared column differences = 2r",
     ),
     "o_sums": _Suite(
-        _run_o_sums, 10, 12, 1,
+        _each(_pairs, _check_o_sums), 10, 12, 1,
         "odd-row counts of both canonical labels sum to n",
     ),
     "comb_maxab": _Suite(
-        _run_comb_maxab, 8, 10, 0,
+        _each(_augmentations, _check_comb_maxab), 8, 10, 0,
         "augmentation bound o - 2*Delta - o0 <= max(da, db) (letter budget 4)",
     ),
     "comb_maxab2": _Suite(
@@ -630,7 +579,7 @@ SUITES: dict[str, _Suite] = {
         "single-b augmentation equality o - 2*Delta - o0 = 1 - 2l",
     ),
     "comb_clem": _Suite(
-        _run_comb_clem, 10, 12, 1,
+        _each(_pairs, _check_comb_clem), 10, 12, 1,
         "columnwise deficit sum <= c+q, with equality c+1 when q = 1",
     ),
     "comb_big": _Suite(
@@ -642,7 +591,7 @@ SUITES: dict[str, _Suite] = {
         "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b",
     ),
     "ci_codim": _Suite(
-        _run_ci_codim, 10, 12, 1,
+        _each(_single_partitions, _check_ci_codim), 10, 12, 1,
         "maximal-rank stratum dimension equals dim M - dim N",
     ),
     "ci_majineq": _Suite(
@@ -654,7 +603,7 @@ SUITES: dict[str, _Suite] = {
         "1-step partitions: every other stratum at least 2 below, cases covered",
     ),
     "ortho_equiv": _Suite(
-        _run_ortho_equiv, 12, 14, 0,
+        _each(_diagrams, _check_ortho_equiv), 12, 14, 0,
         "balanced substring counts iff decomposable into standard pieces",
     ),
 }
@@ -671,6 +620,8 @@ def run_suite(
         raise ValueError(
             f"unknown lemma id {lemma_id!r}; known: {', '.join(SUITES)}"
         )
+    if max_counterexamples < 1:
+        raise ValueError("max_counterexamples must be at least 1")
     limit = suite.default_n if n_max is None else n_max
     if limit < 0:
         raise ValueError("n_max must be nonnegative")

@@ -242,6 +242,17 @@ class TestEnumerateOrtho:
                 assert set(got) == expected
                 assert len(got) == len(expected)
 
+    def test_all_diagrams_in_key_order(self):
+        # ortho_equiv reports its counterexamples in this order
+        total = 0
+        for letters in range(13):
+            for na in range(letters + 1):
+                got = enumerate_all_diagrams(na, letters - na)
+                assert got == tuple(sorted(set(got), key=diagram_key))
+                assert all(a_count(d) == na and b_count(d) == letters - na for d in got)
+                total += len(got)
+        assert total == 3132
+
     def test_all_results_valid(self):
         for d in enumerate_ortho(5, 4):
             assert a_count(d) == 5 and b_count(d) == 4

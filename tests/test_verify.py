@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import symorbit.verify as verify
+from symorbit import abdiagrams, partitions, strata
 from symorbit.partitions import enumerate_partitions, s_step
 from symorbit.verify import (
     SUITES,
@@ -15,6 +17,30 @@ from symorbit.verify import (
     run_all,
     run_suite,
 )
+
+
+# instances_checked and extras of every suite at n = 6
+PINNED_AT_6 = {
+    "diff_ind": (88, None),
+    "diff_usef": (53, None),
+    "qcr_identities": (515, None),
+    "comb_col": (117, None),
+    "o_sums": (117, None),
+    "comb_maxab": (587, None),
+    "comb_maxab2": (14, None),
+    "comb_clem": (117, None),
+    "comb_big": (1295, None),
+    "comb_bigr": (113, None),
+    "ci_codim": (29, None),
+    "ci_majineq": (89, {"partitions_checked": 21}),
+    "nor_gap": (19, {
+        "partitions_checked": 13,
+        "cases": {"general_bound": 6, "q1c1": 8, "q1c2": 1, "q2c2": 4},
+        "general_bound_orbits": 2,
+        "general_bound_quarter_short": 1,
+    }),
+    "ortho_equiv": (139, None),
+}
 
 
 class TestIsNormal:
@@ -132,6 +158,7 @@ class TestRunSuite:
             assert report.ok, (lemma_id, report.counterexamples[:2])
             assert report.instances_checked > 0
             assert report.n_range[1] == 6
+            assert (report.instances_checked, report.extras) == PINNED_AT_6[lemma_id]
 
     def test_known_instance_counts(self):
         # all alternating-row multisets with at most 8 letters
@@ -163,6 +190,24 @@ class TestRunSuite:
         full = run_suite("fake", max_counterexamples=10**9)
         assert len(full.counterexamples) == 25
 
+    def test_counterexample_cap_below_one(self, monkeypatch):
+        calls = []
+
+        def fake_runner(n_max):
+            calls.append(n_max)
+            return 50, [{"index": i} for i in range(4)], None
+
+        fake = verify._Suite(fake_runner, 5, 5, 1, "fake suite")
+        monkeypatch.setitem(SUITES, "fake", fake)
+        for cap in (0, -1):
+            with pytest.raises(ValueError, match="max_counterexamples"):
+                run_suite("fake", max_counterexamples=cap)
+            with pytest.raises(ValueError, match="max_counterexamples"):
+                run_all(3, max_counterexamples=cap)
+        assert calls == []
+        report = run_suite("fake", max_counterexamples=1)
+        assert not report.ok and report.extras == {"counterexamples_total": 4}
+
     def test_run_all_clamps(self):
         reports = run_all(10)
         assert [r.lemma_id for r in reports] == list(SUITES)
@@ -170,3 +215,73 @@ class TestRunSuite:
         assert by_id["comb_big"].n_range[1] == 9  # clamped to its cap
         assert by_id["diff_ind"].n_range[1] == 10
         assert all(r.ok for r in reports)
+
+
+def _clear_caches():
+    for module in (abdiagrams, partitions, strata):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _reverse_odd_chains(monkeypatch):
+    degeneration_chain = verify.degeneration_chain
+
+    def reversed_if_odd(lam, mu):
+        chain = degeneration_chain(lam, mu)
+        return chain[::-1] if len(chain) % 2 else chain
+
+    monkeypatch.setattr(verify, "degeneration_chain", reversed_if_odd)
+
+
+def _perturb_c_r(monkeypatch):
+    qcr = verify._qcr
+
+    def perturbed(table, i, j):
+        q, c, r = qcr(table, i, j)
+        return q, c + 1, r - 1
+
+    monkeypatch.setattr(verify, "_qcr", perturbed)
+
+
+def _odd_row_count_off(monkeypatch):
+    o_stat = abdiagrams.o_stat
+    monkeypatch.setattr(abdiagrams, "o_stat", lambda d: o_stat(d) + len(d) % 2)
+
+
+def _stratum_dim_low(monkeypatch):
+    dim = verify.dim_stratum
+    monkeypatch.setattr(verify, "dim_stratum", lambda tau, spec: dim(tau, spec) - 10)
+
+
+def _two_rows_indecomposable(monkeypatch):
+    decompose = abdiagrams.decompose
+    monkeypatch.setattr(abdiagrams, "decompose", lambda d: None if len(d) == 2 else decompose(d))
+
+
+PLANTED_FAULTS = [
+    (_reverse_odd_chains, {"diff_ind"}),
+    (_perturb_c_r, {"diff_usef", "qcr_identities", "comb_col", "comb_clem"}),
+    (_odd_row_count_off, {"o_sums", "comb_maxab", "comb_maxab2", "ci_codim"}),
+    (_stratum_dim_low, {"comb_big", "comb_bigr", "ci_codim", "ci_majineq", "nor_gap"}),
+    (_two_rows_indecomposable, {"comb_maxab2", "ortho_equiv"}),
+]
+
+
+class TestPlantedFaults:
+    """Every suite compares independent computations, so a planted fault fails it."""
+
+    def test_faults_cover_every_suite(self):
+        assert set().union(*(failing for _, failing in PLANTED_FAULTS)) == set(SUITES)
+
+    @pytest.mark.parametrize("plant, failing", PLANTED_FAULTS,
+                             ids=[plant.__name__.strip("_") for plant, _ in PLANTED_FAULTS])
+    def test_fault_fails_suites(self, monkeypatch, plant, failing):
+        _clear_caches()
+        try:
+            plant(monkeypatch)
+            reports = run_all(6)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert {r.lemma_id for r in reports if not r.ok} == failing
