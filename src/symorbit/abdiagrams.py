@@ -287,36 +287,49 @@ def aug(base: Diagram, da: int, db: int) -> list[Diagram]:
 def aug_any(base: Diagram, da: int, db: int) -> list[Diagram]:
     """aug without the precondition on the rows of base.
 
-    Every row of base may grow at either end (alternation rules out
-    interior insertion) and leftover letters open new rows; results are
-    filtered for ortho-symmetry and deduplicated.  Exhaustive rather than
-    clever: the call sites are all small.
+    A row of base grows only at its ends (alternation rules out interior
+    insertion).  Adding s letters to it gives one of two rows of its
+    length plus s, told apart by the leading letter, however s splits
+    between the ends, so each base row offers each distinct grown row
+    once, as (grown row, added a's, added b's) in a fixed order.
+    Identical base rows sit next to each other in canonical order and
+    take options in non-decreasing index, so each multiset of grown rows
+    is tried once.  Leftover letters open new rows; the results are
+    filtered for ortho-symmetry, deduplicated and sorted by diagram_key.
     """
     if da < 0 or db < 0:
         raise ValueError("letter counts must be nonnegative")
     results: set[Diagram] = set()
     rows = list(base)
+    options = [_growth_options(row, da + db) for row in rows]
     acc: list[Row] = []
 
-    def extend(idx: int, ra: int, rb: int) -> None:
+    def extend(idx: int, prev: int, ra: int, rb: int) -> None:
         if idx == len(rows):
             for extra in enumerate_all_diagrams(ra, rb):
                 candidate = canonical(acc + list(extra))
                 if is_ortho_symmetric(candidate):
                     results.add(candidate)
             return
-        first, length = rows[idx]
-        base_a, base_b = row_letter_counts((first, length))
-        budget = ra + rb
-        for left in range(budget + 1):
-            for right in range(budget - left + 1):
-                grown = (first if left % 2 == 0 else other(first), length + left + right)
-                ca, cb = row_letter_counts(grown)
-                need_a, need_b = ca - base_a, cb - base_b
-                if need_a <= ra and need_b <= rb:
-                    acc.append(grown)
-                    extend(idx + 1, ra - need_a, rb - need_b)
-                    acc.pop()
+        start = prev if idx and rows[idx] == rows[idx - 1] else 0
+        for pos in range(start, len(options[idx])):
+            grown, need_a, need_b = options[idx][pos]
+            if need_a <= ra and need_b <= rb:
+                acc.append(grown)
+                extend(idx + 1, pos, ra - need_a, rb - need_b)
+                acc.pop()
 
-    extend(0, da, db)
+    extend(0, 0, da, db)
     return sorted(results, key=diagram_key)
+
+
+def _growth_options(row: Row, budget: int) -> list[tuple[Row, int, int]]:
+    """(grown row, added a's, added b's) for row and each growth by 1..budget."""
+    first, length = row
+    base_a, base_b = row_letter_counts(row)
+    options = [(row, 0, 0)]
+    for s in range(1, budget + 1):
+        for lead in (first, other(first)):
+            ca, cb = row_letter_counts((lead, length + s))
+            options.append(((lead, length + s), ca - base_a, cb - base_b))
+    return options

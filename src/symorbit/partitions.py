@@ -251,11 +251,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _cr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int]:
+    """(c, r) of the dominating pair (parts[i], parts[j]) of one table."""
+    return table.weight[i] - table.weight[j], table.row_weight[j] - table.row_weight[i]
+
+
 def _qcr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int, int]:
     """(q, c, r) of the dominating pair (parts[i], parts[j]) of one table."""
     q = sum(abs(a - b) for a, b in zip(table.padded[i], table.padded[j])) // 2
-    return (q, table.weight[i] - table.weight[j],
-            table.row_weight[j] - table.row_weight[i])
+    return (q, *_cr(table, i, j))
 
 
 def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:

@@ -171,6 +171,19 @@ def _weight4(diagram: ab.Diagram) -> int:
     return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
+@lru_cache(maxsize=None)
+def _facts(diagram: ab.Diagram) -> tuple[int, int, int, str]:
+    """(a_count, b_count, _weight4, format_diagram text) of a label's diagram.
+
+    Cached, so dim_stratum and strata_report compute each field once per
+    diagram rather than once per label.  The fold's edges call _weight4
+    directly: the orbit DP never reads the counts or the text, and would
+    pay for them on every edge diagram.
+    """
+    return (ab.a_count(diagram), ab.b_count(diagram), _weight4(diagram),
+            ab.format_diagram(diagram))
+
+
 def _dim4(spec: StrataSpec, mu: Partition, weight4: int) -> int:
     """Four times the dimension of a stratum over the orbit mu.
 
@@ -188,18 +201,22 @@ def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
 
     Half the orbit dimension, plus the per-edge bulk term
     n_i n_{i+1}/2 - (n_i + n_{i+1})/4, plus per-diagram corrections
-    o/4 - Delta/2 counting odd rows and mixed odd pairs.
+    o/4 - Delta/2 counting odd rows and mixed odd pairs.  Letter counts
+    and corrections come from each diagram's cached _facts record, so a
+    diagram shared by many labels is counted once.
     """
     dims = spec.dims
     if len(tau) != spec.t:
         raise ValueError(f"label has {len(tau)} columns, spec wants {spec.t}")
+    weight4 = 0
     for i, diagram in enumerate(tau):
-        if ab.a_count(diagram) != dims[i] or ab.b_count(diagram) != dims[i + 1]:
+        na, nb, diagram_weight4, _ = _facts(diagram)
+        if na != dims[i] or nb != dims[i + 1]:
             raise ValueError(
-                f"column {i + 1} has letters ({ab.a_count(diagram)}, {ab.b_count(diagram)}),"
+                f"column {i + 1} has letters ({na}, {nb}),"
                 f" spec wants ({dims[i]}, {dims[i + 1]})"
             )
-    weight4 = sum(_weight4(diagram) for diagram in tau)
+        weight4 += diagram_weight4
     return Fraction(_dim4(spec, orbit_partition(tau), weight4), 4)
 
 
@@ -328,14 +345,18 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
 
 
 def strata_report(lam: Partition, bound: int | None = None) -> dict:
-    """JSON-ready stratum table; dimensions travel as numerators over 4."""
+    """JSON-ready stratum table; dimensions travel as numerators over 4.
+
+    One row per label, with dim_stratum called once per label; the tau
+    strings are the text of each diagram's cached _facts record.
+    """
     spec = strata_spec(lam)
     rows = []
     for tau in enumerate_lambda(lam, bound):
         dim = dim_stratum(tau, spec)
         rows.append(
             {
-                "tau": [ab.format_diagram(d) for d in tau],
+                "tau": [_facts(d)[3] for d in tau],
                 "mu": list(orbit_partition(tau)),
                 "dim_num4": int(dim * 4),
             }

@@ -25,6 +25,7 @@ from . import abdiagrams as ab
 from .partitions import (
     Partition,
     _bits,
+    _cr,
     _partitions,
     _qcr,
     _table,
@@ -322,7 +323,7 @@ def _check_diff_usef(s: int, table, i: int, j: int):
 
 
 def _run_qcr_identities(n_max: int):
-    """Pairs and the triples below them; a pair's q/c/r serve all its triples."""
+    """Pairs and the triples below them; triples need c and r only, reusing the pair's."""
     instances = 0
     ces: list[dict] = []
     for table, i, j in _pairs(n_max):
@@ -335,8 +336,8 @@ def _run_qcr_identities(n_max: int):
             ces.append(_pair_record(table, i, j, problem="c < q"))
         for k in _bits(table.below[j]):
             instances += 1
-            _, c_bot, r_bot = _qcr(table, j, k)
-            _, c_all, r_all = _qcr(table, i, k)
+            c_bot, r_bot = _cr(table, j, k)
+            c_all, r_all = _cr(table, i, k)
             if c_all != c + c_bot or r_all != r + r_bot:
                 ces.append(
                     _pair_record(table, i, j, nu=list(table.parts[k]), problem="additivity")

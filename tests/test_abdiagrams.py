@@ -286,14 +286,17 @@ class TestAug:
             aug(parse_diagram("bab"), 1, 0)
         assert aug((), 1, 0) == [(("a", 1),)]
 
+    # every base with at most 5 letters, then longer bases whose repeated
+    # rows exercise the growth of identical rows
     @pytest.mark.parametrize(
         "base_text",
-        ["", "a", "aba", "aba/aba/b", "a/a", "ab/ba", "b"],
+        [format_diagram(d) for d in diagrams_upto(5)]
+        + ["aba/aba/b", "aba/aba/a", "ababa/ababa/b"],
     )
     def test_against_embedding_oracle(self, base_text):
         base = parse_diagram(base_text)
-        for da in range(3):
-            for db in range(3):
+        for da in range(5):
+            for db in range(5 - da):
                 assert aug_any(base, da, db) == aug_oracle(base, da, db)
 
     def test_growth_bound_small(self):

@@ -387,6 +387,17 @@ class TestReport:
         dims = {tuple(r["mu"]): r["dim_num4"] for r in report["strata"]}
         assert dims == {(2, 1): 8, (1, 1, 1): 0}
 
+    def test_rows_match_oracle(self):
+        for lam in partitions_upto(6):
+            spec = strata_spec(lam)
+            rows = strata_report(lam)["strata"]
+            labels = enumerate_lambda(lam)
+            assert len(rows) == len(labels)
+            for row, label in zip(rows, labels):
+                assert row["tau"] == [format_diagram(d) for d in label]
+                assert row["mu"] == list(orbit_partition(label))
+                assert row["dim_num4"] == 4 * dim_stratum_oracle(label, spec)
+
     def test_tau_strings_parse_back(self):
         report = strata_report((3, 1))
         for row in report["strata"]:

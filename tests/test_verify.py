@@ -168,6 +168,11 @@ class TestRunSuite:
             len(enumerate_partitions(n)) for n in range(1, 7)
         )
 
+    def test_augmentation_suites_at_cap(self):
+        for lemma_id, count in (("comb_maxab", 2199), ("comb_maxab2", 43)):
+            report = run_suite(lemma_id, 10)
+            assert report.ok and report.instances_checked == count
+
     def test_deterministic_reports(self):
         for lemma_id in ("diff_usef", "comb_big", "nor_gap", "ortho_equiv"):
             first = run_suite(lemma_id, 6).to_dict()
