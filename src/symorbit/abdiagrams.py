@@ -36,14 +36,6 @@ def other(letter: str) -> str:
     return "b" if letter == "a" else "a"
 
 
-def make_row(first: str, length: int) -> Row:
-    if first not in LETTERS:
-        raise ValueError(f"row must start with 'a' or 'b', got {first!r}")
-    if length < 1:
-        raise ValueError(f"row length must be positive, got {length}")
-    return (first, length)
-
-
 def row_word(row: Row) -> str:
     first, length = row
     return (first + other(first)) * (length // 2) + first * (length % 2)

@@ -268,6 +268,6 @@ def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:
     Generated directly from Brylawski's characterisation of covers, with
     lam in enumeration order and its covers mu in enumeration order.
     """
-    parts = _partitions(n)
+    parts = enumerate_partitions(n)
     index = {p: i for i, p in enumerate(parts)}
     return [(lam, parts[j]) for lam, cov in zip(parts, _cover_indices(n, index)) for j in cov]

@@ -133,10 +133,15 @@ def d_lists(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, 
     return da, db
 
 
+@lru_cache(maxsize=None)
+def _orbit2(mu: Partition) -> int:
+    """Twice the orbit dimension: n^2 - sum of squared columns of mu."""
+    return sum(mu) ** 2 - sum(c * c for c in dual(mu))
+
+
 def dim_orbit(lam: Partition) -> Fraction:
     """Dimension of the nilpotent orbit: (n^2 - sum of squared columns)/2."""
-    n = sum(lam)
-    return Fraction(n * n - sum(c * c for c in dual(lam)), 2)
+    return Fraction(_orbit2(tuple(lam)), 2)  # tuple: the cache needs a hashable key
 
 
 def dim_M(lam: Partition) -> int:
@@ -187,13 +192,13 @@ def _facts(diagram: ab.Diagram) -> tuple[int, int, int, str]:
 def _dim4(spec: StrataSpec, mu: Partition, weight4: int) -> int:
     """Four times the dimension of a stratum over the orbit mu.
 
-    Twice the orbit dimension, n^2 - sum of squared columns of mu, plus
-    the per-edge bulk terms 2 n_i n_{i+1} - n_i - n_{i+1}, plus weight4,
-    the sum of _weight4 over the label's diagrams.
+    Twice the orbit dimension, _orbit2(mu), plus the per-edge bulk terms
+    2 n_i n_{i+1} - n_i - n_{i+1}, plus weight4, the sum of _weight4 over
+    the label's diagrams.
     """
     dims = spec.dims
     bulk = sum(2 * a * b - a - b for a, b in zip(dims, dims[1:]))
-    return dims[0] ** 2 - sum(c * c for c in dual(mu)) + bulk + weight4
+    return _orbit2(mu) + bulk + weight4
 
 
 def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:

@@ -7,8 +7,10 @@ identities and inequalities that make that test correct.
 A lemma suite is an instance space plus a check: space(n_max) yields
 instance tuples in a fixed order, check(*instance) yields each one's
 counterexamples, and _each(space, check) is the runner that counts them.
-A new suite is a space (_pairs or _up_to may serve), a check and a
-SUITES entry; suites counting triples or labels keep their own runner.
+An item that stands for several instances, such as an orbit whose worst
+label bounds all of its labels, gives its count through _each's
+covers(*item).  A new suite is a space (_pairs or _up_to may serve), a
+check and a SUITES entry.
 Reports are byte-identical across runs apart from timing.
 """
 
@@ -113,7 +115,7 @@ def normality_witness(lam: Partition) -> int | None:
 
 def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | None:
     """Smallest dimension drop from the maximal-rank stratum to any other."""
-    gaps = (gap for _mu, gap, _count, _witness in _orbit_gaps(lam, bound))
+    gaps = (gap for mu, gap, _count, _witness in _orbit_gaps(lam, bound) if mu != lam)
     return min(gaps, default=None)
 
 
@@ -131,11 +133,9 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
 
 
 def _orbit_gaps(lam: Partition, bound: int | None = None):
-    """Per orbit below lam: (mu, worst gap, label count, worst label)."""
+    """Per orbit mu <= lam, lam's own included: (mu, worst gap, label count, worst label)."""
     top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
     for mu, summary in orbit_extremes(lam, bound).items():
-        if mu == lam:
-            continue
         yield mu, top_dim - summary.max_dim, summary.count, summary.witness
 
 
@@ -207,6 +207,8 @@ def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     min_gap: Fraction | None = None
     ces: list[dict] = []
     for mu, gap, count, witness in _orbit_gaps(lam, bound):
+        if mu == lam:
+            continue
         instances += count
         if min_gap is None or gap < min_gap:
             min_gap = gap
@@ -232,14 +234,15 @@ def _label_record(lam: Partition, tau: TauString, gap: Fraction, **fields) -> di
 Runner = Callable[[int], tuple[int, list[dict], dict | None]]
 
 
-def _each(space, check) -> Runner:
-    """Runner counting one instance per item of space and collecting check's finds."""
+def _each(space, check, covers=None) -> Runner:
+    """Runner collecting check's finds over space; each item counts once,
+    or covers(*item) times when it stands for several instances."""
     def runner(n_max: int):
         instances = 0
         ces: list[dict] = []
-        for instance in space(n_max):
-            instances += 1
-            ces.extend(check(*instance))
+        for item in space(n_max):
+            instances += 1 if covers is None else covers(*item)
+            ces.extend(check(*item))
         return instances, ces, None
 
     return runner
@@ -322,27 +325,19 @@ def _check_diff_usef(s: int, table, i: int, j: int):
         yield _pair_record(table, i, j, s=s, q=q, c=c, r=r, strict_expected=strict)
 
 
-def _run_qcr_identities(n_max: int):
-    """Pairs and the triples below them; triples need c and r only, reusing the pair's."""
-    instances = 0
-    ces: list[dict] = []
-    for table, i, j in _pairs(n_max):
-        instances += 1
-        q, c, r = _qcr(table, i, j)
-        equal = i == j
-        if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
-            ces.append(_pair_record(table, i, j, problem="vanishing"))
-        if c < q:
-            ces.append(_pair_record(table, i, j, problem="c < q"))
-        for k in _bits(table.below[j]):
-            instances += 1
-            c_bot, r_bot = _cr(table, j, k)
-            c_all, r_all = _cr(table, i, k)
-            if c_all != c + c_bot or r_all != r + r_bot:
-                ces.append(
-                    _pair_record(table, i, j, nu=list(table.parts[k]), problem="additivity")
-                )
-    return instances, ces, None
+def _check_qcr_identities(table, i: int, j: int):
+    """The pair and every triple below it; triples need c and r only, reusing the pair's."""
+    q, c, r = _qcr(table, i, j)
+    equal = i == j
+    if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
+        yield _pair_record(table, i, j, problem="vanishing")
+    if c < q:
+        yield _pair_record(table, i, j, problem="c < q")
+    for k in _bits(table.below[j]):
+        c_bot, r_bot = _cr(table, j, k)
+        c_all, r_all = _cr(table, i, k)
+        if c_all != c + c_bot or r_all != r + r_bot:
+            yield _pair_record(table, i, j, nu=list(table.parts[k]), problem="additivity")
 
 
 def _check_comb_col(table, i: int, j: int):
@@ -397,30 +392,26 @@ def _check_comb_maxab(base, da: int, db: int, grown):
         }
 
 
-def _run_comb_maxab2(n_max: int):
-    instances = 0
-    ces: list[dict] = []
+def _single_b_augmentations(n_max: int):
+    """(base, every single-b augmentation of base); each augmentation is an instance."""
     for base in _all_a_bases(n_max):
-        base_o = ab.o_stat(base)
-        ones = sum(1 for _, length in base if length == 1)
-        expected = 1 - 2 * ones
-        grown_list = ab.aug(base, 0, 1)
-        if not grown_list:
-            ces.append({"base": ab.format_diagram(base), "problem": "empty aug"})
-            continue
-        for grown in grown_list:
-            instances += 1
-            value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - base_o
-            if value != expected:
-                ces.append(
-                    {
-                        "base": ab.format_diagram(base),
-                        "result": ab.format_diagram(grown),
-                        "value": value,
-                        "expected": expected,
-                    }
-                )
-    return instances, ces, None
+        yield base, ab.aug(base, 0, 1)
+
+
+def _check_comb_maxab2(base, grown_list):
+    if not grown_list:
+        yield {"base": ab.format_diagram(base), "problem": "empty aug"}
+    base_o = ab.o_stat(base)
+    expected = 1 - 2 * sum(1 for _, length in base if length == 1)
+    for grown in grown_list:
+        value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - base_o
+        if value != expected:
+            yield {
+                "base": ab.format_diagram(base),
+                "result": ab.format_diagram(grown),
+                "value": value,
+                "expected": expected,
+            }
 
 
 def _check_comb_clem(table, i: int, j: int):
@@ -446,35 +437,39 @@ def _lone_b_rows(lam: Partition, mu: Partition, t: int) -> int:
     return max(sum(1 for _, length in sigma[i] if length == 1) for i in hits)
 
 
-def _gap_bound_loop(n_max: int, stronger: bool):
-    """Shared loop for the two stratum-gap lower bounds.
+def _orbits(n_max: int):
+    """(lam, mu, gap, labels, worst label) for every orbit mu <= lam, |lam| <= n_max."""
+    for lam in _up_to(n_max):
+        for orbit in _orbit_gaps(lam, n_max):
+            yield lam, *orbit
+
+
+def _lone_b_orbits(n_max: int):
+    """The _orbits items with a column adding a lone b, plus _lone_b_rows."""
+    for lam, mu, *rest in _orbits(n_max):
+        ones = _lone_b_rows(lam, mu, lam[0])
+        if ones >= 0:
+            yield lam, mu, *rest, ones
+
+
+def _labels(lam, mu, gap, count, *_) -> int:
+    """An orbit's check covers every one of its labels."""
+    return count
+
+
+def _check_gap_bound(lam, mu, gap, count, witness, ones=None):
+    """Gap >= (2r - c - q)/4, plus ones/2 when given.
 
     For a fixed orbit the bound is constant, so checking the orbit's
-    highest-dimensional label checks them all; counts still reflect every
-    label covered.
+    highest-dimensional label checks them all.
     """
-    instances = 0
-    ces: list[dict] = []
-    for lam in _up_to(n_max):
-        spec = strata_spec(lam)
-        top_dim = dim_stratum(tau_zero(lam), spec)
-        for mu, summary in orbit_extremes(lam, n_max).items():
-            st = diff_stats(lam, mu)
-            required = Fraction(2 * st.r - st.c - st.q, 4)
-            if stronger:
-                ones = _lone_b_rows(lam, mu, spec.t)
-                if ones < 0:
-                    continue
-                required += Fraction(ones, 2)
-            instances += summary.count
-            gap = top_dim - summary.max_dim
-            if gap < required:
-                record = _label_record(lam, summary.witness, gap,
-                                       required_num4=int(required * 4))
-                if stronger:
-                    record["l"] = ones
-                ces.append(record)
-    return instances, ces, None
+    st = diff_stats(lam, mu)
+    required = Fraction(2 * st.r - st.c - st.q, 4)
+    if ones is not None:
+        required += Fraction(ones, 2)
+    if gap < required:
+        extra = {} if ones is None else {"l": ones}
+        yield _label_record(lam, witness, gap, required_num4=int(required * 4), **extra)
 
 
 def _single_partitions(n_max: int):
@@ -560,7 +555,8 @@ SUITES: dict[str, _Suite] = {
         "s-step inequality s*r >= c+q with its strictness cases (s in {1,2})",
     ),
     "qcr_identities": _Suite(
-        _run_qcr_identities, 10, 12, 1,
+        _each(_pairs, _check_qcr_identities,
+              lambda table, i, j: 1 + table.below[j].bit_count()), 10, 12, 1,
         "q/c/r vanish together, c >= q, and c/r add along chains",
     ),
     "comb_col": _Suite(
@@ -576,7 +572,8 @@ SUITES: dict[str, _Suite] = {
         "augmentation bound o - 2*Delta - o0 <= max(da, db) (letter budget 4)",
     ),
     "comb_maxab2": _Suite(
-        _run_comb_maxab2, 8, 10, 0,
+        _each(_single_b_augmentations, _check_comb_maxab2,
+              lambda base, grown_list: len(grown_list)), 8, 10, 0,
         "single-b augmentation equality o - 2*Delta - o0 = 1 - 2l",
     ),
     "comb_clem": _Suite(
@@ -584,11 +581,11 @@ SUITES: dict[str, _Suite] = {
         "columnwise deficit sum <= c+q, with equality c+1 when q = 1",
     ),
     "comb_big": _Suite(
-        partial(_gap_bound_loop, stronger=False), 9, 9, 1,
+        _each(_orbits, _check_gap_bound, _labels), 9, 9, 1,
         "stratum gap >= (2r - c - q)/4 for every label",
     ),
     "comb_bigr": _Suite(
-        partial(_gap_bound_loop, stronger=True), 9, 9, 1,
+        _each(_lone_b_orbits, _check_gap_bound, _labels), 9, 9, 1,
         "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b",
     ),
     "ci_codim": _Suite(

@@ -1,5 +1,6 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 
@@ -122,6 +123,21 @@ class TestVerify:
         _, first, _ = run(capsys, "verify", "all", "--max-n", "4", "--format", "json")
         _, second, _ = run(capsys, "verify", "all", "--max-n", "4", "--format", "json")
         assert scrub(first) == scrub(second)
+
+    # sha256 of `verify all --format json --max-n K` without its elapsed_s
+    # lines; a change to any suite's report, count or order moves them.
+    CONTRACT = {
+        0: "49000844cf1e946f9ad96cbd203695481cf39bf26f9b24e81d9aaf6496f10d52",
+        6: "f19808b655f8edb92e62b4db8326bf659c79a769f48998452fda75b569f23103",
+        99: "bb655a721280e565a6c8d3a77f541096bd55cfbc9cdf9abeea84a703dd4909de",
+    }
+
+    @pytest.mark.parametrize("max_n", sorted(CONTRACT))
+    def test_behaviour_contract(self, capsys, max_n):
+        code, out, _ = run(capsys, "verify", "all", "--format", "json", "--max-n", str(max_n))
+        assert code == 0
+        kept = "".join(line for line in out.splitlines(True) if '"elapsed_s"' not in line)
+        assert hashlib.sha256(kept.encode()).hexdigest() == self.CONTRACT[max_n]
 
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import symorbit.verify as verify_module

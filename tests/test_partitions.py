@@ -367,6 +367,11 @@ class TestCovers:
         for n in range(21):
             assert dominance_covers(n) == reduction_covers(n)
 
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_rejects_out_of_range(self, n):
+        with pytest.raises(ValueError):
+            dominance_covers(n)
+
 
 class TestTable:
     def test_rows_duals_and_weights(self):

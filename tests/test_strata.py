@@ -197,6 +197,7 @@ class TestDimensions:
     def test_dim_orbit_examples(self):
         assert dim_orbit((1, 1, 1)) == 0
         assert dim_orbit((2, 1)) == 2
+        assert dim_orbit([2, 1]) == 2  # any sequence of parts is accepted
         for n in range(1, 8):
             assert dim_orbit((n,)) == Fraction(n * n - n, 2)
 

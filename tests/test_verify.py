@@ -168,6 +168,12 @@ class TestRunSuite:
             len(enumerate_partitions(n)) for n in range(1, 7)
         )
 
+    def test_label_suites_at_cap(self):
+        for lemma_id, n, count in (("qcr_identities", 12, 99398),
+                                   ("comb_big", 9, 2213678), ("comb_bigr", 9, 6833)):
+            report = run_suite(lemma_id, n)
+            assert report.ok and report.instances_checked == count
+
     def test_augmentation_suites_at_cap(self):
         for lemma_id, count in (("comb_maxab", 2199), ("comb_maxab2", 43)):
             report = run_suite(lemma_id, 10)
@@ -264,12 +270,18 @@ def _two_rows_indecomposable(monkeypatch):
     monkeypatch.setattr(abdiagrams, "decompose", lambda d: None if len(d) == 2 else decompose(d))
 
 
+# Each fault with the suites it fails at n = 6, as (instances_checked,
+# counterexample count).  comb_maxab2 under the decompose fault finds
+# empty augmentations, which cover no instance but still count as failures.
 PLANTED_FAULTS = [
-    (_reverse_odd_chains, {"diff_ind"}),
-    (_perturb_c_r, {"diff_usef", "qcr_identities", "comb_col", "comb_clem"}),
-    (_odd_row_count_off, {"o_sums", "comb_maxab", "comb_maxab2", "ci_codim"}),
-    (_stratum_dim_low, {"comb_big", "comb_bigr", "ci_codim", "ci_majineq", "nor_gap"}),
-    (_two_rows_indecomposable, {"comb_maxab2", "ortho_equiv"}),
+    (_reverse_odd_chains, {"diff_ind": (88, 37)}),
+    (_perturb_c_r, {"diff_usef": (53, 29), "qcr_identities": (515, 444),
+                    "comb_col": (117, 117), "comb_clem": (117, 34)}),
+    (_odd_row_count_off, {"o_sums": (117, 107), "comb_maxab": (587, 20),
+                          "comb_maxab2": (14, 14), "ci_codim": (29, 23)}),
+    (_stratum_dim_low, {"comb_big": (1295, 117), "comb_bigr": (113, 45),
+                        "ci_codim": (29, 29), "ci_majineq": (89, 40), "nor_gap": (19, 13)}),
+    (_two_rows_indecomposable, {"comb_maxab2": (11, 3), "ortho_equiv": (139, 15)}),
 ]
 
 
@@ -285,8 +297,10 @@ class TestPlantedFaults:
         _clear_caches()
         try:
             plant(monkeypatch)
-            reports = run_all(6)
+            reports = run_all(6, max_counterexamples=10**9)
         finally:
             monkeypatch.undo()
             _clear_caches()
-        assert {r.lemma_id for r in reports if not r.ok} == failing
+        found = {r.lemma_id: (r.instances_checked, len(r.counterexamples))
+                 for r in reports if not r.ok}
+        assert found == failing
