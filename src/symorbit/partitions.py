@@ -84,7 +84,7 @@ def s_step(lam: Partition, s: int) -> bool:
     """True iff consecutive parts (with a trailing 0) drop by at most s."""
     if s < 1:
         raise ValueError("step size must be a positive integer")
-    padded = lam + (0,)
+    padded = tuple(lam) + (0,)
     return all(a - b <= s for a, b in zip(padded, padded[1:]))
 
 
@@ -131,7 +131,7 @@ def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     width = max(len(lam), len(mu))
     cur = list(lam) + [0] * (width - len(lam))
     target = list(mu) + [0] * (width - len(mu))
-    chain = [lam]
+    chain = [tuple(lam)]
     while cur != target:
         first = next(i for i in range(width) if cur[i] > target[i])
         j = next(i for i in range(width) if cur[i] < target[i])

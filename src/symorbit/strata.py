@@ -72,7 +72,7 @@ def strata_spec(lam: Partition) -> StrataSpec:
     cols = dual(lam)
     t = lam[0]
     dims = tuple(sum(cols[i:]) for i in range(t + 1))
-    return StrataSpec(lam, t, dims)
+    return StrataSpec(tuple(lam), t, dims)
 
 
 def tau_zero(lam: Partition) -> TauString:
@@ -171,22 +171,11 @@ def is_valid_tau_string(tau: TauString, spec: StrataSpec) -> bool:
     )
 
 
-def _weight4(diagram: ab.Diagram) -> int:
-    """Four times a diagram's share of the stratum dimension: o - 2*Delta."""
-    return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
-
-
 @lru_cache(maxsize=None)
-def _facts(diagram: ab.Diagram) -> tuple[int, int, int, str]:
-    """(a_count, b_count, _weight4, format_diagram text) of a label's diagram.
-
-    Cached, so dim_stratum and strata_report compute each field once per
-    diagram rather than once per label.  The fold's edges call _weight4
-    directly: the orbit DP never reads the counts or the text, and would
-    pay for them on every edge diagram.
-    """
-    return (ab.a_count(diagram), ab.b_count(diagram), _weight4(diagram),
-            ab.format_diagram(diagram))
+def _weight4(diagram: ab.Diagram) -> int:
+    """Four times a diagram's share of the stratum dimension, o - 2*Delta;
+    cached, as fold edges, dim_stratum and augmentation checks share diagrams."""
+    return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
 def _dim4(spec: StrataSpec, mu: Partition, weight4: int) -> int:
@@ -206,23 +195,20 @@ def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
 
     Half the orbit dimension, plus the per-edge bulk term
     n_i n_{i+1}/2 - (n_i + n_{i+1})/4, plus per-diagram corrections
-    o/4 - Delta/2 counting odd rows and mixed odd pairs.  Letter counts
-    and corrections come from each diagram's cached _facts record, so a
-    diagram shared by many labels is counted once.
+    o/4 - Delta/2 counting odd rows and mixed odd pairs (the cached
+    _weight4).  strata_report gets the same sum from the label fold.
     """
     dims = spec.dims
     if len(tau) != spec.t:
         raise ValueError(f"label has {len(tau)} columns, spec wants {spec.t}")
-    weight4 = 0
     for i, diagram in enumerate(tau):
-        na, nb, diagram_weight4, _ = _facts(diagram)
+        na, nb = ab.a_count(diagram), ab.b_count(diagram)
         if na != dims[i] or nb != dims[i + 1]:
             raise ValueError(
                 f"column {i + 1} has letters ({na}, {nb}),"
                 f" spec wants ({dims[i]}, {dims[i + 1]})"
             )
-        weight4 += diagram_weight4
-    return Fraction(_dim4(spec, orbit_partition(tau), weight4), 4)
+    return Fraction(_dim4(spec, orbit_partition(tau), sum(map(_weight4, tau))), 4)
 
 
 def _check_bound(lam: Partition, bound: int | None) -> None:
@@ -285,6 +271,10 @@ def _fold(lam: Partition, leaf, extend, combine):
     return edges(0, None)
 
 
+def _concat(values) -> list:
+    return list(chain.from_iterable(values))
+
+
 def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString]:
     """All stratum labels for lam, depth-first over columns.
 
@@ -298,9 +288,9 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
         lam,
         [()],
         lambda diagram, _w, rest: [(diagram,) + tail for tail in rest],
-        lambda values: list(chain.from_iterable(values)),
+        _concat,
     )
-    return list(chain.from_iterable(suffixes for _, suffixes in labels))
+    return _concat(suffixes for _, suffixes in labels)
 
 
 @dataclass(frozen=True)
@@ -352,20 +342,23 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
 def strata_report(lam: Partition, bound: int | None = None) -> dict:
     """JSON-ready stratum table; dimensions travel as numerators over 4.
 
-    One row per label, with dim_stratum called once per label; the tau
-    strings are the text of each diagram's cached _facts record.
+    The rows come from the label fold, in enumerate_lambda order: each
+    suffix carries its diagrams' text and the sum of their weight4, and
+    a row's dimension is its orbit's _dim4 base plus that sum.
     """
     spec = strata_spec(lam)
+    _check_bound(lam, bound)
+
+    def extend(diagram, weight4, rest):
+        text = ab.format_diagram(diagram)
+        return [((text,) + texts, weight4 + sub) for texts, sub in rest]
+
     rows = []
-    for tau in enumerate_lambda(lam, bound):
-        dim = dim_stratum(tau, spec)
-        rows.append(
-            {
-                "tau": [_facts(d)[3] for d in tau],
-                "mu": list(orbit_partition(tau)),
-                "dim_num4": int(dim * 4),
-            }
-        )
+    for diagram, suffixes in _fold(lam, [((), 0)], extend, _concat):
+        mu = ab.a_partition(diagram)
+        base4 = _dim4(spec, mu, 0)
+        rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + weight4}
+                    for texts, weight4 in suffixes)
     dn = dim_N(lam)
     if dn.denominator != 1:
         raise AssertionError("dim N should always be integral")

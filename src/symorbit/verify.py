@@ -37,6 +37,7 @@ from .partitions import (
 )
 from .strata import (
     TauString,
+    _weight4,
     d_lists,
     dim_M,
     dim_N,
@@ -106,7 +107,7 @@ class StrataCheck:
 
 
 def normality_witness(lam: Partition) -> int | None:
-    padded = lam + (0,)
+    padded = tuple(lam) + (0,)
     for i, (a, b) in enumerate(zip(padded, padded[1:]), start=1):
         if a - b >= 2:
             return i
@@ -115,6 +116,7 @@ def normality_witness(lam: Partition) -> int | None:
 
 def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | None:
     """Smallest dimension drop from the maximal-rank stratum to any other."""
+    lam = tuple(lam)
     gaps = (gap for mu, gap, _count, _witness in _orbit_gaps(lam, bound) if mu != lam)
     return min(gaps, default=None)
 
@@ -125,6 +127,7 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
     With certify=True (and the partition small enough to enumerate), the
     verdict also carries the minimum stratum gap as a certificate.
     """
+    lam = tuple(lam)
     witness = normality_witness(lam)
     gap = None
     if certify and lam and sum(lam) <= lambda_bound(bound):
@@ -199,6 +202,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
 def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     """Count labels and the minimum gap over the orbits below an s-step lam;
     judge(mu, gap, count, witness) yields one orbit's counterexamples."""
+    lam = tuple(lam)
     if not lam:
         return StrataCheck(lam, "skipped", "empty partition", 0, None)
     if not s_step(lam, s):
@@ -380,7 +384,7 @@ def _augmentations(n_max: int):
 
 def _check_comb_maxab(base, da: int, db: int, grown):
     limit = max(da, db)
-    value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - ab.o_stat(base)
+    value = _weight4(grown) - ab.o_stat(base)
     if value > limit:
         yield {
             "base": ab.format_diagram(base),
@@ -404,7 +408,7 @@ def _check_comb_maxab2(base, grown_list):
     base_o = ab.o_stat(base)
     expected = 1 - 2 * sum(1 for _, length in base if length == 1)
     for grown in grown_list:
-        value = ab.o_stat(grown) - 2 * ab.delta_stat(grown) - base_o
+        value = _weight4(grown) - base_o
         if value != expected:
             yield {
                 "base": ab.format_diagram(base),

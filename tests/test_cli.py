@@ -7,7 +7,7 @@ import re
 import pytest
 
 from symorbit.cli import main
-from symorbit.partitions import dominance_covers, enumerate_partitions
+from symorbit.partitions import dominance_covers, enumerate_partitions, format_partition
 from symorbit.verify import SUITES
 
 
@@ -89,6 +89,22 @@ class TestStrata:
         assert payload["dims"] == [4, 2, 1, 0]
         for row in payload["strata"]:
             assert sorted(row) == ["dim_num4", "mu", "tau"]
+
+    # sha256 of `strata lam --format json` then `strata lam` for every lam of
+    # 1..7 in enumeration order; any change to a row, its order or its
+    # dimension moves it.
+    STRATA_DIGEST = "4bc79ca4a6bc76efd475c56056e63318f2f8cf0d47cb6daa5628f7a99e84ff11"
+
+    def test_tables_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                text = format_partition(lam)
+                for argv in (("strata", text, "--format", "json"), ("strata", text)):
+                    code, out, _ = run(capsys, *argv)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == self.STRATA_DIGEST
 
     def test_bound_exceeded(self, capsys):
         code, _, err = run(capsys, "strata", "13")

@@ -304,3 +304,42 @@ class TestPlantedFaults:
         found = {r.lemma_id: (r.instances_checked, len(r.counterexamples))
                  for r in reports if not r.ok}
         assert found == failing
+
+
+# Every public function taking a partition, as lam -> call.  Two-argument
+# ones pair lam with the all-ones partition of the same size, which every
+# partition dominates.
+def _ones(lam):
+    return type(lam)([1] * sum(lam))
+
+
+PARTITION_CALLS = {
+    "dual": partitions.dual,
+    "dominates": lambda lam: partitions.dominates(lam, _ones(lam)),
+    "s_step": lambda lam: (partitions.s_step(lam, 1), partitions.s_step(lam, 2)),
+    "diff_stats": lambda lam: partitions.diff_stats(lam, _ones(lam)),
+    "degeneration_chain": lambda lam: partitions.degeneration_chain(lam, _ones(lam)),
+    "enumerate_below": partitions.enumerate_below,
+    "format_partition": partitions.format_partition,
+    "strata_spec": strata.strata_spec,
+    "tau_zero": strata.tau_zero,
+    "sigma_zero": lambda lam: strata.sigma_zero(lam, lam[0] + 1),
+    "d_lists": lambda lam: strata.d_lists(lam, _ones(lam)),
+    "dim_M": strata.dim_M,
+    "dim_N": strata.dim_N,
+    "dim_orbit": strata.dim_orbit,
+    "enumerate_lambda": strata.enumerate_lambda,
+    "strata_report": strata.strata_report,
+    "normality_witness": normality_witness,
+    "is_normal": lambda lam: is_normal(lam, certify=True),
+    "minimum_stratum_gap": minimum_stratum_gap,
+    "check_ci_condition": check_ci_condition,
+    "check_normality_gap": check_normality_gap,
+}
+
+
+@pytest.mark.parametrize("lam", [(2, 2, 1), (3, 2), (2, 1, 1, 1)])
+def test_list_of_parts_matches_tuple(lam):
+    for name, call in PARTITION_CALLS.items():
+        expected, got = call(lam), call(list(lam))
+        assert got == expected and repr(got) == repr(expected), name
