@@ -237,29 +237,56 @@ def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
     return tuple(_multisets([(row, *row_letter_counts(row)) for row in rows], na, nb))
 
 
-@lru_cache(maxsize=None)
-def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
-    """All ortho-symmetric diagrams with exactly na a's and nb b's.
+def _ortho(na: int, nb: int) -> list[tuple[Diagram, int]]:
+    """Every ortho-symmetric diagram with na a's and nb b's, with its
+    o - 2*Delta, in diagram_key order.
 
-    Generated as multisets of indecomposable pieces fitting the letter
-    budget, which is exponentially smaller than filtering all diagrams.
-    Distinct multisets assemble to distinct diagrams, so the result needs
-    no deduplication; it is sorted into a fixed order.
+    Row lengths are walked from longest to shortest, each step starting
+    at the longest row the letters left still fit.  An odd length 2k+1
+    takes p alpha(k) rows, then q beta(k) rows, and adds p + q - 2pq; an
+    even length 2k takes m epsilon(k) pairs; at length 1 the letters left
+    become single-letter rows.  Each count runs downwards, so diagrams
+    with more rows of a length, a-led ones first, come first: that is
+    diagram_key order, since no diagram's rows are a prefix of another's.
     """
     if na < 0 or nb < 0:
         raise ValueError("letter counts must be nonnegative")
     if na + nb > LETTER_BOUND:
         raise ValueError(f"{na + nb} letters exceed the bound {LETTER_BOUND}")
-    items: list[Indecomposable] = []
-    for k in range(min(na - 1, nb), -1, -1):
-        items.append(Indecomposable("alpha", k))
-    for k in range(min(na, nb - 1), -1, -1):
-        items.append(Indecomposable("beta", k))
-    for k in range(min(na, nb) // 2, 0, -1):
-        items.append(Indecomposable("epsilon", k))
-    counted = [(piece, *piece.letter_counts()) for piece in items]
-    found = [recompose(pieces) for pieces in _multisets(counted, na, nb)]
-    return tuple(sorted(found, key=diagram_key))
+    out: list[tuple[Diagram, int]] = []
+
+    def walk(length: int, rows: Diagram, ra: int, rb: int, weight4: int) -> None:
+        length = min(length, 2 * min(ra, rb) + 1)
+        if length <= 1:
+            ones = (("a", 1),) * ra + (("b", 1),) * rb
+            out.append((rows + ones, weight4 + ra + rb - 2 * ra * rb))
+            return
+        a_row, b_row = ("a", length), ("b", length)
+        if length % 2 == 0:
+            for m in range(min(ra, rb) // length, -1, -1):
+                walk(length - 1, rows + (a_row,) * m + (b_row,) * m,
+                     ra - m * length, rb - m * length, weight4)
+            return
+        k = length // 2  # alpha(k) has k + 1 a's and k b's, beta(k) the reverse
+        for p in range(min(ra // (k + 1), rb // k), -1, -1):
+            sa, sb = ra - p * (k + 1), rb - p * k
+            for q in range(min(sa // k, sb // (k + 1)), -1, -1):
+                walk(length - 1, rows + (a_row,) * p + (b_row,) * q,
+                     sa - q * k, sb - q * (k + 1), weight4 + p + q - 2 * p * q)
+
+    walk(na + nb, (), na, nb, 0)
+    return out
+
+
+@lru_cache(maxsize=None)
+def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
+    """All ortho-symmetric diagrams with exactly na a's and nb b's.
+
+    Built row length by row length from the alpha/beta/epsilon pieces
+    (_ortho), which is exponentially smaller than filtering all diagrams
+    and already in diagram_key order.
+    """
+    return tuple(diagram for diagram, _ in _ortho(na, nb))
 
 
 def aug(base: Diagram, da: int, db: int) -> list[Diagram]:

@@ -31,6 +31,12 @@ TauString = tuple[ab.Diagram, ...]
 DEFAULT_LAMBDA_BOUND = 12
 LAMBDA_BOUND_ENV = "ORBIT_LAMBDA_BOUND"
 
+# Most labels enumerate_lambda and strata_report will list.  Every
+# partition of 8 fits ((8) has 112,324 labels); the largest table let
+# through, (8,2,1,1) at 229,162 labels, takes 8 s and 0.7 GB as
+# `strata --format json` (Python 3.11, 2 vCPUs); (9) has 1,918,225.
+_LABEL_BUDGET = 250_000
+
 
 def lambda_bound(override: int | None = None) -> int:
     """Resolve the size bound for full stratum enumeration.
@@ -174,7 +180,8 @@ def is_valid_tau_string(tau: TauString, spec: StrataSpec) -> bool:
 @lru_cache(maxsize=None)
 def _weight4(diagram: ab.Diagram) -> int:
     """Four times a diagram's share of the stratum dimension, o - 2*Delta;
-    cached, as fold edges, dim_stratum and augmentation checks share diagrams."""
+    cached, as dim_stratum and augmentation checks share diagrams.  Fold
+    edges get the same weight from ab._ortho instead."""
     return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
@@ -227,12 +234,13 @@ _Edge = tuple[ab.Diagram, Partition, int]  # (diagram, b_partition, weight4)
 def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
     """The ortho-symmetric diagrams with na a's and nb b's as fold edges.
 
+    One key-ordered pass (ab._ortho) yields each diagram with its weight4.
     Edges are grouped by a-partition, each group in enumerate_ortho order;
     the key None holds every edge in that order, for the first column.
     """
     every = tuple(
-        (diagram, ab.b_partition(diagram), _weight4(diagram))
-        for diagram in ab.enumerate_ortho(na, nb)
+        (diagram, ab.b_partition(diagram), weight4)
+        for diagram, weight4 in ab._ortho(na, nb)
     )
     groups: dict[Partition | None, list[_Edge]] = {None: every}
     for edge in every:
@@ -275,15 +283,32 @@ def _concat(values) -> list:
     return list(chain.from_iterable(values))
 
 
+def _label_count(lam: Partition) -> int:
+    """The number of stratum labels of lam, counted by the fold."""
+    return sum(count for _, count in _fold(lam, 1, lambda _d, _w, sub: sub, sum))
+
+
+def _check_labels(lam: Partition, bound: int | None) -> None:
+    """_check_bound, then refuse lam if it has more labels than the budget."""
+    _check_bound(lam, bound)
+    count = _label_count(lam)
+    if count > _LABEL_BUDGET:
+        raise ValueError(
+            f"lambda = {lam} has {count} stratum labels, more than the"
+            f" label bound {_LABEL_BUDGET}"
+        )
+
+
 def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString]:
     """All stratum labels for lam, depth-first over columns.
 
     Candidates per column come from the ortho-symmetric enumeration at the
     right letter counts, filtered by the chaining condition; the search is
     memoized per (column, required a-partition).  The maximal-rank label
-    always appears exactly once.
+    always appears exactly once.  Partitions with more labels than the
+    label budget are refused before any label is built.
     """
-    _check_bound(lam, bound)
+    _check_labels(lam, bound)
     labels = _fold(
         lam,
         [()],
@@ -344,10 +369,11 @@ def strata_report(lam: Partition, bound: int | None = None) -> dict:
 
     The rows come from the label fold, in enumerate_lambda order: each
     suffix carries its diagrams' text and the sum of their weight4, and
-    a row's dimension is its orbit's _dim4 base plus that sum.
+    a row's dimension is its orbit's _dim4 base plus that sum.  It
+    refuses the partitions that enumerate_lambda refuses.
     """
     spec = strata_spec(lam)
-    _check_bound(lam, bound)
+    _check_labels(lam, bound)
 
     def extend(diagram, weight4, rest):
         text = ab.format_diagram(diagram)

@@ -4,6 +4,7 @@ import pytest
 
 from symorbit.abdiagrams import (
     Indecomposable,
+    _multisets,
     a_count,
     a_partition,
     aug,
@@ -231,8 +232,9 @@ class TestEnumerateOrtho:
         }
 
     def test_against_filter_oracle(self):
-        for na in range(6):
-            for nb in range(6):
+        for letters in range(13):
+            for na in range(letters + 1):
+                nb = letters - na
                 expected = {
                     d
                     for d in enumerate_all_diagrams(na, nb)
@@ -241,6 +243,25 @@ class TestEnumerateOrtho:
                 got = enumerate_ortho(na, nb)
                 assert set(got) == expected
                 assert len(got) == len(expected)
+
+    def test_against_piece_multisets(self):
+        # same diagrams in the same order as every multiset of pieces
+        # fitting the letters, reassembled and sorted by diagram_key
+        total = 0
+        for letters in range(21):
+            for na in range(letters + 1):
+                nb = letters - na
+                pieces = [Indecomposable("alpha", k) for k in range(min(na - 1, nb) + 1)]
+                pieces += [Indecomposable("beta", k) for k in range(min(na, nb - 1) + 1)]
+                pieces += [Indecomposable("epsilon", k) for k in range(1, min(na, nb) // 2 + 1)]
+                counted = [(piece, *piece.letter_counts()) for piece in pieces]
+                expected = sorted(
+                    (recompose(found) for found in _multisets(counted, na, nb)),
+                    key=diagram_key,
+                )
+                assert enumerate_ortho(na, nb) == tuple(expected)
+                total += len(expected)
+        assert total == 10535
 
     def test_all_diagrams_in_key_order(self):
         # ortho_equiv reports its counterexamples in this order

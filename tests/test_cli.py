@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
@@ -110,6 +111,15 @@ class TestStrata:
         code, _, err = run(capsys, "strata", "13")
         assert code == 2
         assert "bound" in err
+
+    @pytest.mark.parametrize("lam", ["9", "12"])
+    def test_label_budget_exceeded(self, capsys, lam):
+        # counted, not listed: (9) has 1.9e6 labels, (12) 4.2e10
+        start = time.perf_counter()
+        code, out, err = run(capsys, "strata", lam, "--format", "json")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert "stratum labels" in err and "bound" in err
 
 
 class TestVerify:

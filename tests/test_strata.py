@@ -11,12 +11,16 @@ from symorbit.abdiagrams import (
     b_partition,
     delta_stat,
     enumerate_all_diagrams,
+    enumerate_ortho,
     format_diagram,
     o_stat,
     parse_diagram,
 )
 from symorbit.partitions import dominates, dual, enumerate_below, enumerate_partitions
 from symorbit.strata import (
+    _LABEL_BUDGET,
+    _edges,
+    _label_count,
     d_lists,
     dim_M,
     dim_N,
@@ -172,6 +176,40 @@ class TestEnumerateLambda:
         with pytest.raises(ValueError):
             enumerate_lambda((13,), 12)
         assert enumerate_lambda((2, 1), 3)  # explicit bound admits the input
+
+    def test_label_count(self):
+        for lam in partitions_upto(7):
+            assert _label_count(lam) == len(enumerate_lambda(lam))
+
+    def test_label_budget(self):
+        # every partition of 8 is listed; (9) has 1,918,225 labels
+        assert max(_label_count(lam) for lam in enumerate_partitions(8)) == 112324
+        assert _label_count((8,)) <= _LABEL_BUDGET < _label_count((9,))
+        for call in (enumerate_lambda, strata_report):
+            with pytest.raises(ValueError, match="1918225 stratum labels.*bound"):
+                call((9,))
+
+
+class TestEdges:
+    def test_match_statistics(self):
+        # each table against one built from the per-diagram partitions
+        # and o - 2*Delta, key order included
+        total = 0
+        for letters in range(21):
+            for na in range(letters + 1):
+                every = tuple(
+                    (d, b_partition(d), o_stat(d) - 2 * delta_stat(d))
+                    for d in enumerate_ortho(na, letters - na)
+                )
+                expected = {None: every}
+                for edge in every:
+                    expected.setdefault(a_partition(edge[0]), []).append(edge)
+                expected = {key: tuple(val) for key, val in expected.items()}
+                got = _edges(na, letters - na)
+                assert got == expected
+                assert list(got) == list(expected)
+                total += len(every)
+        assert total == 10535
 
 
 class TestLambdaBound:

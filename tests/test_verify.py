@@ -270,6 +270,12 @@ def _two_rows_indecomposable(monkeypatch):
     monkeypatch.setattr(abdiagrams, "decompose", lambda d: None if len(d) == 2 else decompose(d))
 
 
+def _two_row_weight_up(monkeypatch):
+    ortho = abdiagrams._ortho
+    monkeypatch.setattr(abdiagrams, "_ortho",
+                        lambda na, nb: [(d, w + (len(d) == 2)) for d, w in ortho(na, nb)])
+
+
 # Each fault with the suites it fails at n = 6, as (instances_checked,
 # counterexample count).  comb_maxab2 under the decompose fault finds
 # empty augmentations, which cover no instance but still count as failures.
@@ -282,6 +288,7 @@ PLANTED_FAULTS = [
     (_stratum_dim_low, {"comb_big": (1295, 117), "comb_bigr": (113, 45),
                         "ci_codim": (29, 29), "ci_majineq": (89, 40), "nor_gap": (19, 13)}),
     (_two_rows_indecomposable, {"comb_maxab2": (11, 3), "ortho_equiv": (139, 15)}),
+    (_two_row_weight_up, {"comb_big": (1295, 12), "comb_bigr": (113, 8), "nor_gap": (19, 2)}),
 ]
 
 
