@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from math import comb
+from operator import sub
 from types import SimpleNamespace
 
 Partition = tuple[int, ...]
@@ -216,8 +217,9 @@ def _table(n: int) -> SimpleNamespace:
     parts is _partitions(n) and index inverts it.  padded holds each
     partition's rows zero-padded to n, dual the index of its transpose,
     weight its column weight and row_weight the column weight of its
-    dual.  below is the bitmask of every index it dominates, itself
-    included.
+    dual.  suffix holds the suffix sums of its zero-padded dual: entry k
+    counts the boxes in columns k+1 onwards.  below is the bitmask of
+    every index it dominates, itself included.
     """
     parts = _partitions(n)
     index = {p: i for i, p in enumerate(parts)}
@@ -232,11 +234,13 @@ def _table(n: int) -> SimpleNamespace:
         for j in covers[i]:
             mask |= below[j]
         below[i] = mask
+    padded = tuple(p + (0,) * (n - len(p)) for p in parts)
     return SimpleNamespace(
         parts=parts,
         index=index,
-        padded=tuple(p + (0,) * (n - len(p)) for p in parts),
+        padded=padded,
         dual=dual_index,
+        suffix=tuple(tuple(accumulate(reversed(padded[d])))[::-1] for d in dual_index),
         weight=weight,
         row_weight=tuple(weight[d] for d in dual_index),
         below=tuple(below),
@@ -258,7 +262,7 @@ def _cr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int]:
 
 def _qcr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int, int]:
     """(q, c, r) of the dominating pair (parts[i], parts[j]) of one table."""
-    q = sum(abs(a - b) for a, b in zip(table.padded[i], table.padded[j])) // 2
+    q = sum(map(abs, map(sub, table.padded[i], table.padded[j]))) // 2
     return (q, *_cr(table, i, j))
 
 

@@ -20,7 +20,8 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
+from operator import sub
 from typing import Callable
 
 from . import abdiagrams as ab
@@ -273,9 +274,8 @@ def _pair_record(table, i: int, j: int, **fields) -> dict:
 
 
 def _monotone(values: tuple[int, ...]) -> bool:
-    return all(a <= b for a, b in zip(values, values[1:])) or all(
-        a >= b for a, b in zip(values, values[1:])
-    )
+    up = tuple(sorted(values))
+    return values == up or values == up[::-1]
 
 
 def _check_diff_ind(table, i: int, j: int):
@@ -352,11 +352,21 @@ def _check_comb_col(table, i: int, j: int):
         yield _pair_record(table, i, j, lhs=lhs, rhs=rhs)
 
 
+@lru_cache(maxsize=None)
+def _tau_o_sum(lam: Partition) -> int:
+    return sum(map(ab.o_stat, tau_zero(lam)))
+
+
+@lru_cache(maxsize=None)
+def _sigma_o_sum(mu: Partition, t: int) -> int:
+    return sum(map(ab.o_stat, sigma_zero(mu, t)))
+
+
 def _check_o_sums(table, i: int, j: int):
-    lam, mu = table.parts[i], table.parts[j]
-    t = lam[0]
-    sigma_sum = sum(ab.o_stat(d) for d in sigma_zero(mu, t))
-    tau_sum = sum(ab.o_stat(d) for d in tau_zero(lam))
+    """Both label sums depend on one partition, so each is cached by it."""
+    lam = table.parts[i]
+    sigma_sum = _sigma_o_sum(table.parts[j], lam[0])
+    tau_sum = _tau_o_sum(lam)
     n = sum(lam)
     if sigma_sum != n or tau_sum != n:
         yield _pair_record(table, i, j, sigma_sum=sigma_sum, tau_sum=tau_sum, n=n)
@@ -418,9 +428,19 @@ def _check_comb_maxab2(base, grown_list):
             }
 
 
+def _deficits(table, i: int, j: int) -> tuple[list[int], list[int]]:
+    """d_lists(parts[i], parts[j]) read off the table: da is the first
+    parts[i][0] columns of the difference of dual suffix sums, and db is
+    da shifted by one column with a trailing 0."""
+    t = table.parts[i][0]
+    da = list(map(sub, table.suffix[i][:t], table.suffix[j]))
+    if min(da) < 0:
+        raise AssertionError("dominance should force nonnegative deficits")
+    return da, da[1:] + [0]
+
+
 def _check_comb_clem(table, i: int, j: int):
-    da, db = d_lists(table.parts[i], table.parts[j])
-    total = sum(max(x, y) for x, y in zip(da, db))
+    total = sum(map(max, *_deficits(table, i, j)))
     q, c, _ = _qcr(table, i, j)
     if total > c + q or (q == 1 and total != c + 1):
         yield _pair_record(table, i, j, sum_max=total, c=c, q=q)

@@ -385,6 +385,14 @@ class TestTable:
                 assert table.weight[i] == box_weight_oracle(lam, "column")
                 assert table.row_weight[i] == box_weight_oracle(lam, "row")
 
+    def test_suffix_sums_of_dual(self):
+        for n in range(13):
+            table = _table(n)
+            for i, lam in enumerate(table.parts):
+                cols = dual(lam)
+                cols += (0,) * (n - len(cols))
+                assert table.suffix[i] == tuple(sum(cols[k:]) for k in range(n))
+
     def test_below_masks_are_dominance_filters(self):
         for n in range(13):
             table = _table(n)

@@ -1,6 +1,7 @@
 """Decision rule, per-partition checks, and the lemma suite harness."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -228,8 +229,27 @@ class TestRunSuite:
         assert all(r.ok for r in reports)
 
 
+class TestTableFacts:
+    """The suites' per-partition shortcuts against their public definitions."""
+
+    def test_deficits_match_d_lists(self):
+        for n in range(1, 13):
+            table = partitions._table(n)
+            for i, lam in enumerate(table.parts):
+                for j in partitions._bits(table.below[i]):
+                    da, db = verify._deficits(table, i, j)
+                    assert (tuple(da), tuple(db)) == strata.d_lists(lam, table.parts[j])
+
+    def test_monotone_matches_pairwise_definition(self):
+        for length in range(7):
+            for values in product(range(4), repeat=length):
+                pairs = list(zip(values, values[1:]))
+                expected = all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
+                assert verify._monotone(values) == expected, values
+
+
 def _clear_caches():
-    for module in (abdiagrams, partitions, strata):
+    for module in (abdiagrams, partitions, strata, verify):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
