@@ -237,9 +237,9 @@ def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
     return tuple(_multisets([(row, *row_letter_counts(row)) for row in rows], na, nb))
 
 
-def _ortho(na: int, nb: int) -> list[tuple[Diagram, int]]:
+def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
     """Every ortho-symmetric diagram with na a's and nb b's, with its
-    o - 2*Delta, in diagram_key order.
+    o - 2*Delta, a_partition and b_partition, in diagram_key order.
 
     Row lengths are walked from longest to shortest, each step starting
     at the longest row the letters left still fit.  An odd length 2k+1
@@ -248,33 +248,40 @@ def _ortho(na: int, nb: int) -> list[tuple[Diagram, int]]:
     become single-letter rows.  Each count runs downwards, so diagrams
     with more rows of a length, a-led ones first, come first: that is
     diagram_key order, since no diagram's rows are a prefix of another's.
+    Both partitions grow as the rows do and need no sort: an odd length
+    appends alpha's k+1 before beta's k a's, and beta's k+1 before
+    alpha's k b's, so each stays non-increasing; length-1 rows add ones.
     """
     if na < 0 or nb < 0:
         raise ValueError("letter counts must be nonnegative")
     if na + nb > LETTER_BOUND:
         raise ValueError(f"{na + nb} letters exceed the bound {LETTER_BOUND}")
-    out: list[tuple[Diagram, int]] = []
+    out: list[tuple[Diagram, int, Partition, Partition]] = []
 
-    def walk(length: int, rows: Diagram, ra: int, rb: int, weight4: int) -> None:
+    def walk(length: int, rows: Diagram, ra: int, rb: int, weight4: int,
+             a_part: Partition, b_part: Partition) -> None:
         length = min(length, 2 * min(ra, rb) + 1)
         if length <= 1:
             ones = (("a", 1),) * ra + (("b", 1),) * rb
-            out.append((rows + ones, weight4 + ra + rb - 2 * ra * rb))
+            out.append((rows + ones, weight4 + ra + rb - 2 * ra * rb,
+                        a_part + (1,) * ra, b_part + (1,) * rb))
             return
         a_row, b_row = ("a", length), ("b", length)
+        k = length // 2  # alpha(k) has k + 1 a's and k b's, beta(k) the reverse
         if length % 2 == 0:
             for m in range(min(ra, rb) // length, -1, -1):
                 walk(length - 1, rows + (a_row,) * m + (b_row,) * m,
-                     ra - m * length, rb - m * length, weight4)
+                     ra - m * length, rb - m * length, weight4,
+                     a_part + (k,) * (2 * m), b_part + (k,) * (2 * m))
             return
-        k = length // 2  # alpha(k) has k + 1 a's and k b's, beta(k) the reverse
         for p in range(min(ra // (k + 1), rb // k), -1, -1):
             sa, sb = ra - p * (k + 1), rb - p * k
             for q in range(min(sa // k, sb // (k + 1)), -1, -1):
                 walk(length - 1, rows + (a_row,) * p + (b_row,) * q,
-                     sa - q * k, sb - q * (k + 1), weight4 + p + q - 2 * p * q)
+                     sa - q * k, sb - q * (k + 1), weight4 + p + q - 2 * p * q,
+                     a_part + (k + 1,) * p + (k,) * q, b_part + (k + 1,) * q + (k,) * p)
 
-    walk(na + nb, (), na, nb, 0)
+    walk(na + nb, (), na, nb, 0, (), ())
     return out
 
 
@@ -286,7 +293,7 @@ def enumerate_ortho(na: int, nb: int) -> tuple[Diagram, ...]:
     (_ortho), which is exponentially smaller than filtering all diagrams
     and already in diagram_key order.
     """
-    return tuple(diagram for diagram, _ in _ortho(na, nb))
+    return tuple(entry[0] for entry in _ortho(na, nb))
 
 
 def aug(base: Diagram, da: int, db: int) -> list[Diagram]:

@@ -30,15 +30,15 @@ def _dump(obj) -> str:
 
 def _cmd_normal(args) -> int:
     lam = parse_partition(args.partition)
-    certify = args.certify
-    if certify and lam and sum(lam) > lambda_bound():
+    verdict = verify.is_normal(lam, certify=args.certify)
+    # is_normal applies the bound; this test only words the note, as
+    # (1^n) gets no certificate within the bound either
+    if args.certify and verdict.gap_certificate is None and sum(lam) > lambda_bound():
         print(
             f"note: |lambda| = {sum(lam)} exceeds the enumeration bound"
             f" {lambda_bound()}; no gap certificate",
             file=sys.stderr,
         )
-        certify = False
-    verdict = verify.is_normal(lam, certify=certify)
     if args.format == "json":
         payload = {
             "lambda": list(lam),

@@ -227,24 +227,22 @@ def _check_bound(lam: Partition, bound: int | None) -> None:
         )
 
 
-_Edge = tuple[ab.Diagram, Partition, int]  # (diagram, b_partition, weight4)
+_Edge = tuple[ab.Diagram, int, Partition, Partition]  # (diagram, weight4, a-, b-partition)
 
 
 @lru_cache(maxsize=None)
 def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
     """The ortho-symmetric diagrams with na a's and nb b's as fold edges.
 
-    One key-ordered pass (ab._ortho) yields each diagram with its weight4.
-    Edges are grouped by a-partition, each group in enumerate_ortho order;
-    the key None holds every edge in that order, for the first column.
+    One key-ordered pass (ab._ortho) yields each diagram with its weight4,
+    a-partition and b-partition.  Edges are grouped by the a-partition,
+    each group in enumerate_ortho order; the key None holds every edge in
+    that order, for the first column.
     """
-    every = tuple(
-        (diagram, ab.b_partition(diagram), weight4)
-        for diagram, weight4 in ab._ortho(na, nb)
-    )
+    every = tuple(ab._ortho(na, nb))
     groups: dict[Partition | None, list[_Edge]] = {None: every}
     for edge in every:
-        groups.setdefault(ab.a_partition(edge[0]), []).append(edge)
+        groups.setdefault(edge[2], []).append(edge)
     return {key: tuple(val) for key, val in groups.items()}
 
 
@@ -254,8 +252,8 @@ def _fold(lam: Partition, leaf, extend, combine):
     The value of a state is combine() of extend(diagram, weight4, value of
     the next state) over its edges, in enumerate_ortho order; states from
     which no label completes have value None and are skipped.  Past the
-    last column the value is leaf.  Yields (first diagram, value) for the
-    first column, whose a-partition is the label's orbit.
+    last column the value is leaf.  Yields (orbit, value) per first-column
+    edge, the orbit being that edge's a-partition.
     """
     dims = strata_spec(lam).dims
     t = len(dims) - 1
@@ -271,10 +269,10 @@ def _fold(lam: Partition, leaf, extend, combine):
         return memo[key]
 
     def edges(i: int, required: Partition | None):
-        for diagram, b_part, weight4 in _edges(dims[i], dims[i + 1]).get(required, ()):
+        for diagram, weight4, a_part, b_part in _edges(dims[i], dims[i + 1]).get(required, ()):
             sub = state(i + 1, b_part)
             if sub is not None:
-                yield diagram, extend(diagram, weight4, sub)
+                yield a_part, extend(diagram, weight4, sub)
 
     return edges(0, None)
 
@@ -350,13 +348,13 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     _check_bound(lam, bound)
     spec = strata_spec(lam)
     by_orbit: dict[Partition, list[tuple[int, int, TauString]]] = {}
-    for diagram, value in _fold(
+    for mu, value in _fold(
         lam,
         (0, 1, ()),
         lambda diagram, weight4, sub: (weight4 + sub[0], sub[1], (diagram,) + sub[2]),
         _best,
     ):
-        by_orbit.setdefault(ab.a_partition(diagram), []).append(value)
+        by_orbit.setdefault(mu, []).append(value)
     summaries = {}
     for mu, values in by_orbit.items():
         weight4, count, witness = _best(values)
@@ -380,8 +378,7 @@ def strata_report(lam: Partition, bound: int | None = None) -> dict:
         return [((text,) + texts, weight4 + sub) for texts, sub in rest]
 
     rows = []
-    for diagram, suffixes in _fold(lam, [((), 0)], extend, _concat):
-        mu = ab.a_partition(diagram)
+    for mu, suffixes in _fold(lam, [((), 0)], extend, _concat):
         base4 = _dim4(spec, mu, 0)
         rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + weight4}
                     for texts, weight4 in suffixes)

@@ -5,6 +5,7 @@ import pytest
 from symorbit.abdiagrams import (
     Indecomposable,
     _multisets,
+    _ortho,
     a_count,
     a_partition,
     aug,
@@ -262,6 +263,18 @@ class TestEnumerateOrtho:
                 assert enumerate_ortho(na, nb) == tuple(expected)
                 total += len(expected)
         assert total == 10535
+
+    def test_walk_carries_partitions(self):
+        # the walk builds both partitions without a sort; they must be
+        # the sorted per-row counts of its own diagram, zeros dropped
+        total = 0
+        for letters in range(23):
+            for na in range(letters + 1):
+                for d, _, a_part, b_part in _ortho(na, letters - na):
+                    assert a_part == a_partition(d) and b_part == b_partition(d)
+                    assert 0 not in a_part and 0 not in b_part
+                    total += 1
+        assert total == 18693
 
     def test_all_diagrams_in_key_order(self):
         # ortho_equiv reports its counterexamples in this order

@@ -56,6 +56,13 @@ class TestNormal:
         assert out.strip() == "NOT normal (step at row 1)"
         assert "bound" in err
 
+    def test_certify_within_raised_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("ORBIT_LAMBDA_BOUND", "13")
+        code, out, err = run(capsys, "normal", "13", "--certify")
+        assert code == 0
+        assert out == "NOT normal (step at row 1); min gap -8\n"
+        assert err == ""
+
     def test_negative_environment_bound(self, capsys, monkeypatch):
         monkeypatch.setenv("ORBIT_LAMBDA_BOUND", "-3")
         code, out, err = run(capsys, "normal", "2,1", "--certify")

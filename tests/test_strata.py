@@ -198,7 +198,7 @@ class TestEdges:
         for letters in range(21):
             for na in range(letters + 1):
                 every = tuple(
-                    (d, b_partition(d), o_stat(d) - 2 * delta_stat(d))
+                    (d, o_stat(d) - 2 * delta_stat(d), a_partition(d), b_partition(d))
                     for d in enumerate_ortho(na, letters - na)
                 )
                 expected = {None: every}
@@ -275,6 +275,20 @@ class TestDimensions:
             top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
             assert top_dim == dim_M(lam) - dim_N(lam)
             assert top_dim.denominator == 1
+
+    def test_top_stratum_over_orbit(self):
+        # the maximal-rank stratum sits n_i (n_i - 1)/2 above the orbit for
+        # each middle vertex i; the orbit dimension comes from the pair-min
+        # sum here, not from dim_orbit
+        total = 0
+        for lam in partitions_upto(20):
+            spec = strata_spec(lam)
+            n = sum(lam)
+            orbit = Fraction(n * n - sum(min(a, b) for a in lam for b in lam), 2)
+            middle = sum(Fraction(m * (m - 1), 2) for m in spec.dims[1:-1])
+            assert dim_stratum(tau_zero(lam), spec) == orbit + middle
+            total += 1
+        assert total == 2713
 
     def test_dim_stratum_matches_oracle(self):
         for lam in partitions_upto(7):

@@ -293,7 +293,8 @@ def _two_rows_indecomposable(monkeypatch):
 def _two_row_weight_up(monkeypatch):
     ortho = abdiagrams._ortho
     monkeypatch.setattr(abdiagrams, "_ortho",
-                        lambda na, nb: [(d, w + (len(d) == 2)) for d, w in ortho(na, nb)])
+                        lambda na, nb: [(d, w + (len(d) == 2), *rest)
+                                        for d, w, *rest in ortho(na, nb)])
 
 
 # Each fault with the suites it fails at n = 6, as (instances_checked,
