@@ -9,10 +9,11 @@ and every diagram is ortho-symmetric.
 
 Stratum dimensions are computed in integer quarter-units inside and
 returned as Fraction at the API: every value has denominator dividing 4
-and no float ever appears.  The formulas are applied formally to every
-label, whether or not the stratum it names is nonempty, so integrality
-is never assumed (and holds only for special labels such as the
-maximal-rank one).
+and no float ever appears; gaps stay in quarter-units through verify,
+so a Fraction appears only in a public return value.  The formulas are
+applied formally to every label, whether or not the stratum it names is
+nonempty, so integrality is never assumed (and holds only for special
+labels such as the maximal-rank one).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, zip_longest
 
 from . import abdiagrams as ab
 from .partitions import Partition, dominates, dual
@@ -119,20 +120,13 @@ def d_lists(lam: Partition, mu: Partition) -> tuple[tuple[int, ...], tuple[int, 
 
     da[i-1] is the number of a's column i must gain on the way from the
     label of mu to any label over the orbit of mu inside the variety of
-    lam, and db[i-1] = da[i]; both are forced by the column sums alone.
+    lam, and db[i-1] = da[i]; both are forced by the column sums alone,
+    as da is the difference of the two duals' suffix sums.
     """
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; deficits are undefined")
-    t = lam[0] if lam else 0
-    lhat, mhat = dual(lam), dual(mu)
-
-    def col(hat: Partition, j: int) -> int:
-        return hat[j - 1] if j <= len(hat) else 0
-
-    da = tuple(
-        sum(col(lhat, j) - col(mhat, j) for j in range(i, t + 1))
-        for i in range(1, t + 1)
-    )
+    columns = [a - b for a, b in zip_longest(dual(lam), dual(mu), fillvalue=0)]
+    da = tuple(accumulate(reversed(columns)))[::-1]
     db = da[1:] + (0,)
     if any(d < 0 for d in da):
         raise AssertionError("dominance should force nonnegative deficits")
@@ -318,11 +312,12 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """What a fixed orbit contributes to the stratum poset of one variety."""
+    """What a fixed orbit contributes to the stratum poset of one variety,
+    its largest stratum dimension in quarter-units."""
 
-    max_dim: Fraction
+    max_dim4: int
     count: int
-    witness: TauString  # a label of this orbit attaining max_dim
+    witness: TauString  # the first label of this orbit attaining max_dim4
 
 
 def _best(values: list[tuple[int, int, TauString]]) -> tuple[int, int, TauString]:
@@ -358,7 +353,7 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     summaries = {}
     for mu, values in by_orbit.items():
         weight4, count, witness = _best(values)
-        summaries[mu] = OrbitSummary(Fraction(_dim4(spec, mu, weight4), 4), count, witness)
+        summaries[mu] = OrbitSummary(_dim4(spec, mu, weight4), count, witness)
     return summaries
 
 

@@ -118,8 +118,8 @@ def normality_witness(lam: Partition) -> int | None:
 def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | None:
     """Smallest dimension drop from the maximal-rank stratum to any other."""
     lam = tuple(lam)
-    gaps = (gap for mu, gap, _count, _witness in _orbit_gaps(lam, bound) if mu != lam)
-    return min(gaps, default=None)
+    gap4 = min((gap4 for mu, gap4, *_ in _orbit_gaps(lam, bound) if mu != lam), default=None)
+    return None if gap4 is None else Fraction(gap4, 4)
 
 
 def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -> NormalityVerdict:
@@ -137,10 +137,12 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
 
 
 def _orbit_gaps(lam: Partition, bound: int | None = None):
-    """Per orbit mu <= lam, lam's own included: (mu, worst gap, label count, worst label)."""
-    top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
+    """Per orbit mu <= lam, lam's own included: (mu, worst gap in quarter-units,
+    label count, worst label).  The top stratum comes from dim_stratum, not
+    the fold; as a quarter-integer, four times it has denominator 1."""
+    top4 = (dim_stratum(tau_zero(lam), strata_spec(lam)) * 4).numerator
     for mu, summary in orbit_extremes(lam, bound).items():
-        yield mu, top_dim - summary.max_dim, summary.count, summary.witness
+        yield mu, top4 - summary.max_dim4, summary.count, summary.witness
 
 
 def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
@@ -149,9 +151,9 @@ def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
     The comparison runs over the worst (highest-dimensional) label of each
     orbit, which bounds every other label of that orbit at once.
     """
-    def judge(mu, gap, count, witness):
-        if gap <= 0:
-            yield _label_record(lam, witness, gap)
+    def judge(mu, gap4, count, witness):
+        if gap4 <= 0:
+            yield _label_record(lam, witness, gap4)
 
     return _gap_check(lam, 2, bound, judge)
 
@@ -168,9 +170,9 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
     cases: Counter[str] = Counter()
     flagged: list[dict] = []
 
-    def judge(mu, gap, count, witness):
-        if gap < 2:
-            yield _label_record(lam, witness, gap, problem="gap below 2")
+    def judge(mu, gap4, count, witness):
+        if gap4 < 8:
+            yield _label_record(lam, witness, gap4, problem="gap below 2")
         stats = diff_stats(lam, mu)
         if stats.q == 2 and stats.c == 2:
             bucket = "q2c2"
@@ -184,12 +186,12 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
                     "mu": list(mu),
                     "labels": count,
                     "bound_num4": 2 * stats.r - stats.c - stats.q,
-                    "min_gap_num4": int(gap * 4),
+                    "min_gap_num4": gap4,
                 }
             )
         else:
             bucket = "uncovered"
-            yield _label_record(lam, witness, gap, problem="case coverage",
+            yield _label_record(lam, witness, gap4, problem="case coverage",
                                 q=stats.q, c=stats.c, r=stats.r)
         cases[bucket] += count
 
@@ -202,32 +204,33 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
 
 def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     """Count labels and the minimum gap over the orbits below an s-step lam;
-    judge(mu, gap, count, witness) yields one orbit's counterexamples."""
+    judge(mu, gap4, count, witness) yields one orbit's counterexamples."""
     lam = tuple(lam)
     if not lam:
         return StrataCheck(lam, "skipped", "empty partition", 0, None)
     if not s_step(lam, s):
         return StrataCheck(lam, "skipped", f"precondition unmet: not {s}-step", 0, None)
     instances = 0
-    min_gap: Fraction | None = None
+    min_gap4: int | None = None
     ces: list[dict] = []
-    for mu, gap, count, witness in _orbit_gaps(lam, bound):
+    for mu, gap4, count, witness in _orbit_gaps(lam, bound):
         if mu == lam:
             continue
         instances += count
-        if min_gap is None or gap < min_gap:
-            min_gap = gap
-        ces.extend(judge(mu, gap, count, witness))
+        if min_gap4 is None or gap4 < min_gap4:
+            min_gap4 = gap4
+        ces.extend(judge(mu, gap4, count, witness))
     status = "failed" if ces else "ok"
+    min_gap = None if min_gap4 is None else Fraction(min_gap4, 4)
     return StrataCheck(lam, status, None, instances, min_gap, ces)
 
 
-def _label_record(lam: Partition, tau: TauString, gap: Fraction, **fields) -> dict:
+def _label_record(lam: Partition, tau: TauString, gap4: int, **fields) -> dict:
     return {
         "lambda": list(lam),
         "tau": [ab.format_diagram(d) for d in tau],
         "mu": list(orbit_partition(tau)),
-        "gap_num4": int(gap * 4),
+        "gap_num4": gap4,
         **fields,
     }
 
@@ -451,18 +454,18 @@ def _lone_b_rows(lam: Partition, mu: Partition, t: int) -> int:
 
     The sharper bound applies when some column's deficit is a single b;
     among such columns the one with the most length-one rows in the
-    canonical label of mu gives the strongest statement.
+    canonical label of mu gives the strongest statement.  Column i (from
+    0) of that label has one length-one row per part of mu equal to i + 1.
     """
     da, db = d_lists(lam, mu)
-    sigma = sigma_zero(mu, t)
     hits = [i for i in range(t) if (da[i], db[i]) == (0, 1)]
     if not hits:
         return -1
-    return max(sum(1 for _, length in sigma[i] if length == 1) for i in hits)
+    return max(mu.count(i + 1) for i in hits)
 
 
 def _orbits(n_max: int):
-    """(lam, mu, gap, labels, worst label) for every orbit mu <= lam, |lam| <= n_max."""
+    """(lam, mu, gap4, labels, worst label) for every orbit mu <= lam, |lam| <= n_max."""
     for lam in _up_to(n_max):
         for orbit in _orbit_gaps(lam, n_max):
             yield lam, *orbit
@@ -476,24 +479,22 @@ def _lone_b_orbits(n_max: int):
             yield lam, mu, *rest, ones
 
 
-def _labels(lam, mu, gap, count, *_) -> int:
+def _labels(lam, mu, gap4, count, *_) -> int:
     """An orbit's check covers every one of its labels."""
     return count
 
 
-def _check_gap_bound(lam, mu, gap, count, witness, ones=None):
-    """Gap >= (2r - c - q)/4, plus ones/2 when given.
+def _check_gap_bound(lam, mu, gap4, count, witness, ones=None):
+    """Gap >= (2r - c - q)/4, plus ones/2 when given; compared in quarter-units.
 
     For a fixed orbit the bound is constant, so checking the orbit's
     highest-dimensional label checks them all.
     """
     st = diff_stats(lam, mu)
-    required = Fraction(2 * st.r - st.c - st.q, 4)
-    if ones is not None:
-        required += Fraction(ones, 2)
-    if gap < required:
+    required4 = 2 * st.r - st.c - st.q + (0 if ones is None else 2 * ones)
+    if gap4 < required4:
         extra = {} if ones is None else {"l": ones}
-        yield _label_record(lam, witness, gap, required_num4=int(required * 4), **extra)
+        yield _label_record(lam, witness, gap4, required_num4=required4, **extra)
 
 
 def _single_partitions(n_max: int):

@@ -335,6 +335,20 @@ class TestDLists:
                     assert a_count(sigma[i]) + da[i] == spec.dims[i]
                     assert b_count(sigma[i]) + db[i] == spec.dims[i + 1]
 
+    def test_matches_column_sum_definition(self):
+        # da[i] sums lam-hat_j - mu-hat_j over the columns j > i, numbered
+        # from 1, with columns past a dual's length read as 0
+        def col(hat, j):
+            return hat[j - 1] if j <= len(hat) else 0
+
+        for lam in partitions_upto(12):
+            t, lhat = lam[0], dual(lam)
+            for mu in enumerate_below(lam):
+                mhat = dual(mu)
+                da = tuple(sum(col(lhat, j) - col(mhat, j) for j in range(i + 1, t + 1))
+                           for i in range(t))
+                assert d_lists(lam, mu) == (da, da[1:] + (0,)), (lam, mu)
+
 
 class TestSigmaZero:
     def test_examples(self):
@@ -352,6 +366,15 @@ class TestSigmaZero:
             for mu in enumerate_below(lam):
                 assert sum(o_stat(d) for d in sigma_zero(mu, t)) == sum(lam)
                 assert sum(o_stat(d) for d in tau_zero(lam)) == sum(lam)
+
+    def test_length_one_rows_are_parts(self):
+        # column i (from 0) has a length-one row per part of mu equal to i + 1
+        for mu in partitions_upto(14):
+            for t in range(mu[0], mu[0] + 3):
+                sigma = sigma_zero(mu, t)
+                for i in range(t):
+                    ones = sum(1 for _, length in sigma[i] if length == 1)
+                    assert ones == mu.count(i + 1), (mu, t, i)
 
 
 class TestColumnSquareIdentity:
@@ -403,8 +426,7 @@ class TestOrbitExtremes:
             assert list(summaries) == list(by_orbit)  # orbits in label order
             for mu, summary in summaries.items():
                 best, count, first = by_orbit[mu]
-                assert isinstance(summary.max_dim, Fraction)
-                assert summary.max_dim == best
+                assert Fraction(summary.max_dim4, 4) == best
                 assert summary.count == count
                 assert summary.witness == first  # the first label wins ties
                 assert orbit_partition(summary.witness) == mu

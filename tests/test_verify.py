@@ -240,12 +240,73 @@ class TestTableFacts:
                     da, db = verify._deficits(table, i, j)
                     assert (tuple(da), tuple(db)) == strata.d_lists(lam, table.parts[j])
 
+    def test_lone_b_rows_match_sigma_zero(self):
+        # the length-one rows counted in the canonical label of mu
+        def rows_in_sigma_zero(lam, mu, t):
+            da, db = strata.d_lists(lam, mu)
+            sigma = strata.sigma_zero(mu, t)
+            hits = [i for i in range(t) if (da[i], db[i]) == (0, 1)]
+            if not hits:
+                return -1
+            return max(sum(1 for _, length in sigma[i] if length == 1) for i in hits)
+
+        for n in range(1, 13):
+            for lam in enumerate_partitions(n):
+                for mu in partitions.enumerate_below(lam):
+                    expected = rows_in_sigma_zero(lam, mu, lam[0])
+                    assert verify._lone_b_rows(lam, mu, lam[0]) == expected, (lam, mu)
+
     def test_monotone_matches_pairwise_definition(self):
         for length in range(7):
             for values in product(range(4), repeat=length):
                 pairs = list(zip(values, values[1:]))
                 expected = all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
                 assert verify._monotone(values) == expected, values
+
+
+class TestQuarterThresholds:
+    """Each gap threshold flips at the right quarter once dim_stratum,
+    which gives the top stratum, reads k/4 low."""
+
+    @pytest.fixture
+    def lower_top(self, monkeypatch):
+        dim = verify.dim_stratum
+
+        def lower(k):
+            monkeypatch.setattr(verify, "dim_stratum",
+                                lambda tau, spec: dim(tau, spec) - Fraction(k, 4))
+
+        return lower
+
+    def test_normality_gap_of_two(self, lower_top):
+        # (2, 1) sits exactly 2 above the one other stratum
+        lower_top(0)
+        assert check_normality_gap((2, 1)).status == "ok"
+        lower_top(1)
+        result = check_normality_gap((2, 1))
+        assert result.status == "failed" and result.min_gap == Fraction(7, 4)
+        assert [ce["gap_num4"] for ce in result.counterexamples] == [7]
+
+    def test_ci_condition_positive_gap(self, lower_top):
+        for k in range(8):
+            lower_top(k)
+            assert check_ci_condition((2, 1)).status == "ok", k
+        lower_top(8)
+        result = check_ci_condition((2, 1))
+        assert result.status == "failed"
+        assert [ce["gap_num4"] for ce in result.counterexamples] == [0]
+
+    def test_lone_b_gap_bound_is_tight(self, lower_top):
+        # (2,) over (1, 1): a gap of 4 quarters against 2r - c - q + 2l = 0 + 2*2
+        lam, mu = (2,), (1, 1)
+        ones = verify._lone_b_rows(lam, mu, lam[0])
+        assert ones == 2
+        for k in (0, 1):
+            lower_top(k)
+            gaps = {orbit: rest for orbit, *rest in verify._orbit_gaps(lam)}
+            found = list(verify._check_gap_bound(lam, mu, *gaps[mu], ones))
+            assert len(found) == k
+        assert (found[0]["gap_num4"], found[0]["required_num4"]) == (3, 4)
 
 
 def _clear_caches():
