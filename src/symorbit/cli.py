@@ -19,7 +19,7 @@ from .partitions import (
     format_partition,
     parse_partition,
 )
-from .strata import dim_orbit, lambda_bound, strata_report, strata_spec
+from .strata import dim_orbit, lambda_bound, strata_report
 
 POSET_BOUND = 20
 
@@ -66,10 +66,9 @@ def _cmd_strata(args) -> int:
     if args.format == "json":
         print(_dump(report))
         return 0
-    spec = strata_spec(lam)
     print(
-        f"lambda={format_partition(lam)}  n={sum(lam)}  t={spec.t}"
-        f"  dims={','.join(map(str, spec.dims))}"
+        f"lambda={format_partition(lam)}  n={sum(lam)}  t={report['t']}"
+        f"  dims={','.join(map(str, report['dims']))}"
         f"  dimM={report['dimM']}  dimN={report['dimN']}"
     )
     top_mu = list(lam)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, zip_longest
 
 from . import abdiagrams as ab
-from .partitions import Partition, dominates, dual
+from .partitions import Partition, check_partition, dominates, dual
 
 TauString = tuple[ab.Diagram, ...]
 
@@ -212,15 +212,6 @@ def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
     return Fraction(_dim4(spec, orbit_partition(tau), sum(map(_weight4, tau))), 4)
 
 
-def _check_bound(lam: Partition, bound: int | None) -> None:
-    limit = lambda_bound(bound)
-    if sum(lam) > limit:
-        raise ValueError(
-            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
-            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
-        )
-
-
 _Edge = tuple[ab.Diagram, int, Partition, Partition]  # (diagram, weight4, a-, b-partition)
 
 
@@ -275,15 +266,9 @@ def _concat(values) -> list:
     return list(chain.from_iterable(values))
 
 
-def _label_count(lam: Partition) -> int:
-    """The number of stratum labels of lam, counted by the fold."""
-    return sum(count for _, count in _fold(lam, 1, lambda _d, _w, sub: sub, sum))
-
-
 def _check_labels(lam: Partition, bound: int | None) -> None:
-    """_check_bound, then refuse lam if it has more labels than the budget."""
-    _check_bound(lam, bound)
-    count = _label_count(lam)
+    """Refuse lam as orbit_extremes does, or for more labels than the budget."""
+    count = sum(summary.count for summary in orbit_extremes(lam, bound).values())
     if count > _LABEL_BUDGET:
         raise ValueError(
             f"lambda = {lam} has {count} stratum labels, more than the"
@@ -338,9 +323,16 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     fixed, so the maximum and the count are computed by the label fold,
     carrying (largest weight4, count, first label attaining it) per state,
     instead of walking every label; the label spaces grow far too fast
-    for that.  Orbits appear in the order of their first label.
+    for that.  Orbits appear in the order of their first label.  It is
+    the fold entry that validates lam and applies the size bound.
     """
-    _check_bound(lam, bound)
+    lam = check_partition(lam)
+    limit = lambda_bound(bound)
+    if sum(lam) > limit:
+        raise ValueError(
+            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
+            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
+        )
     spec = strata_spec(lam)
     by_orbit: dict[Partition, list[tuple[int, int, TauString]]] = {}
     for mu, value in _fold(

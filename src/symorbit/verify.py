@@ -32,6 +32,7 @@ from .partitions import (
     _partitions,
     _qcr,
     _table,
+    check_partition,
     degeneration_chain,
     diff_stats,
     s_step,
@@ -39,13 +40,11 @@ from .partitions import (
 from .strata import (
     TauString,
     _weight4,
-    d_lists,
     dim_M,
     dim_N,
     dim_stratum,
     lambda_bound,
     orbit_extremes,
-    orbit_partition,
     sigma_zero,
     strata_spec,
     tau_zero,
@@ -153,7 +152,7 @@ def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
     """
     def judge(mu, gap4, count, witness):
         if gap4 <= 0:
-            yield _label_record(lam, witness, gap4)
+            yield _label_record(lam, mu, witness, gap4)
 
     return _gap_check(lam, 2, bound, judge)
 
@@ -172,7 +171,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
 
     def judge(mu, gap4, count, witness):
         if gap4 < 8:
-            yield _label_record(lam, witness, gap4, problem="gap below 2")
+            yield _label_record(lam, mu, witness, gap4, problem="gap below 2")
         stats = diff_stats(lam, mu)
         if stats.q == 2 and stats.c == 2:
             bucket = "q2c2"
@@ -191,7 +190,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
             )
         else:
             bucket = "uncovered"
-            yield _label_record(lam, witness, gap4, problem="case coverage",
+            yield _label_record(lam, mu, witness, gap4, problem="case coverage",
                                 q=stats.q, c=stats.c, r=stats.r)
         cases[bucket] += count
 
@@ -205,7 +204,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
 def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     """Count labels and the minimum gap over the orbits below an s-step lam;
     judge(mu, gap4, count, witness) yields one orbit's counterexamples."""
-    lam = tuple(lam)
+    lam = check_partition(lam)
     if not lam:
         return StrataCheck(lam, "skipped", "empty partition", 0, None)
     if not s_step(lam, s):
@@ -225,11 +224,11 @@ def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     return StrataCheck(lam, status, None, instances, min_gap, ces)
 
 
-def _label_record(lam: Partition, tau: TauString, gap4: int, **fields) -> dict:
+def _label_record(lam: Partition, mu: Partition, tau: TauString, gap4: int, **fields) -> dict:
     return {
         "lambda": list(lam),
         "tau": [ab.format_diagram(d) for d in tau],
-        "mu": list(orbit_partition(tau)),
+        "mu": list(mu),
         "gap_num4": gap4,
         **fields,
     }
@@ -449,52 +448,56 @@ def _check_comb_clem(table, i: int, j: int):
         yield _pair_record(table, i, j, sum_max=total, c=c, q=q)
 
 
-def _lone_b_rows(lam: Partition, mu: Partition, t: int) -> int:
+def _lone_b_rows(table, i: int, j: int) -> int:
     """Length-one row count backing the sharper gap bound, or -1 if unused.
 
     The sharper bound applies when some column's deficit is a single b;
     among such columns the one with the most length-one rows in the
-    canonical label of mu gives the strongest statement.  Column i (from
-    0) of that label has one length-one row per part of mu equal to i + 1.
+    canonical label of mu = parts[j] gives the strongest statement; its
+    column k (from 0) has one length-one row per part of mu equal to k + 1.
     """
-    da, db = d_lists(lam, mu)
-    hits = [i for i in range(t) if (da[i], db[i]) == (0, 1)]
+    da, db = _deficits(table, i, j)
+    hits = [k for k, deficit in enumerate(zip(da, db)) if deficit == (0, 1)]
     if not hits:
         return -1
-    return max(mu.count(i + 1) for i in hits)
+    return max(table.parts[j].count(k + 1) for k in hits)
 
 
 def _orbits(n_max: int):
-    """(lam, mu, gap4, labels, worst label) for every orbit mu <= lam, |lam| <= n_max."""
-    for lam in _up_to(n_max):
-        for orbit in _orbit_gaps(lam, n_max):
-            yield lam, *orbit
+    """(table, i, j, gap4, labels, worst label) for every orbit parts[j] <=
+    parts[i] of each table, |parts[i]| <= n_max, in _orbit_gaps order."""
+    for n in range(1, n_max + 1):
+        table = _table(n)
+        for i, lam in enumerate(table.parts):
+            for mu, *rest in _orbit_gaps(lam, n_max):
+                yield table, i, table.index[mu], *rest
 
 
 def _lone_b_orbits(n_max: int):
     """The _orbits items with a column adding a lone b, plus _lone_b_rows."""
-    for lam, mu, *rest in _orbits(n_max):
-        ones = _lone_b_rows(lam, mu, lam[0])
+    for table, i, j, *rest in _orbits(n_max):
+        ones = _lone_b_rows(table, i, j)
         if ones >= 0:
-            yield lam, mu, *rest, ones
+            yield table, i, j, *rest, ones
 
 
-def _labels(lam, mu, gap4, count, *_) -> int:
+def _labels(table, i, j, gap4, count, *_) -> int:
     """An orbit's check covers every one of its labels."""
     return count
 
 
-def _check_gap_bound(lam, mu, gap4, count, witness, ones=None):
+def _check_gap_bound(table, i: int, j: int, gap4, count, witness, ones=None):
     """Gap >= (2r - c - q)/4, plus ones/2 when given; compared in quarter-units.
 
     For a fixed orbit the bound is constant, so checking the orbit's
     highest-dimensional label checks them all.
     """
-    st = diff_stats(lam, mu)
-    required4 = 2 * st.r - st.c - st.q + (0 if ones is None else 2 * ones)
+    q, c, r = _qcr(table, i, j)
+    required4 = 2 * r - c - q + (0 if ones is None else 2 * ones)
     if gap4 < required4:
         extra = {} if ones is None else {"l": ones}
-        yield _label_record(lam, witness, gap4, required_num4=required4, **extra)
+        yield _label_record(table.parts[i], table.parts[j], witness, gap4,
+                            required_num4=required4, **extra)
 
 
 def _single_partitions(n_max: int):

@@ -20,7 +20,6 @@ from symorbit.partitions import dominates, dual, enumerate_below, enumerate_part
 from symorbit.strata import (
     _LABEL_BUDGET,
     _edges,
-    _label_count,
     d_lists,
     dim_M,
     dim_N,
@@ -177,14 +176,13 @@ class TestEnumerateLambda:
             enumerate_lambda((13,), 12)
         assert enumerate_lambda((2, 1), 3)  # explicit bound admits the input
 
-    def test_label_count(self):
-        for lam in partitions_upto(7):
-            assert _label_count(lam) == len(enumerate_lambda(lam))
-
     def test_label_budget(self):
         # every partition of 8 is listed; (9) has 1,918,225 labels
-        assert max(_label_count(lam) for lam in enumerate_partitions(8)) == 112324
-        assert _label_count((8,)) <= _LABEL_BUDGET < _label_count((9,))
+        def count(lam):
+            return sum(s.count for s in orbit_extremes(lam).values())
+
+        assert max(count(lam) for lam in enumerate_partitions(8)) == 112324
+        assert count((8,)) <= _LABEL_BUDGET < count((9,))
         for call in (enumerate_lambda, strata_report):
             with pytest.raises(ValueError, match="1918225 stratum labels.*bound"):
                 call((9,))

@@ -175,6 +175,11 @@ class TestRunSuite:
             report = run_suite(lemma_id, n)
             assert report.ok and report.instances_checked == count
 
+    def test_orbit_suites_past_cap(self):
+        # the runners themselves, as run_suite refuses n above the cap of 9
+        assert SUITES["comb_big"].runner(12) == (44730868881, [], None)
+        assert SUITES["comb_bigr"].runner(12) == (3135128, [], None)
+
     def test_augmentation_suites_at_cap(self):
         for lemma_id, count in (("comb_maxab", 2199), ("comb_maxab2", 43)):
             report = run_suite(lemma_id, 10)
@@ -251,10 +256,21 @@ class TestTableFacts:
             return max(sum(1 for _, length in sigma[i] if length == 1) for i in hits)
 
         for n in range(1, 13):
-            for lam in enumerate_partitions(n):
-                for mu in partitions.enumerate_below(lam):
+            table = partitions._table(n)
+            for i, lam in enumerate(table.parts):
+                for j in partitions._bits(table.below[i]):
+                    mu = table.parts[j]
                     expected = rows_in_sigma_zero(lam, mu, lam[0])
-                    assert verify._lone_b_rows(lam, mu, lam[0]) == expected, (lam, mu)
+                    assert verify._lone_b_rows(table, i, j) == expected, (lam, mu)
+
+    def test_orbits_walk_the_tables(self):
+        # each item names its pair by table indices; through table.parts it
+        # is the (lam, *orbit) of _orbit_gaps, in the same order
+        expected = [(lam, *orbit) for n in range(1, 9) for lam in enumerate_partitions(n)
+                    for orbit in verify._orbit_gaps(lam, 8)]
+        found = [(table.parts[i], table.parts[j], *rest)
+                 for table, i, j, *rest in verify._orbits(8)]
+        assert found == expected
 
     def test_monotone_matches_pairwise_definition(self):
         for length in range(7):
@@ -299,12 +315,14 @@ class TestQuarterThresholds:
     def test_lone_b_gap_bound_is_tight(self, lower_top):
         # (2,) over (1, 1): a gap of 4 quarters against 2r - c - q + 2l = 0 + 2*2
         lam, mu = (2,), (1, 1)
-        ones = verify._lone_b_rows(lam, mu, lam[0])
+        table = partitions._table(2)
+        i, j = table.index[lam], table.index[mu]
+        ones = verify._lone_b_rows(table, i, j)
         assert ones == 2
         for k in (0, 1):
             lower_top(k)
             gaps = {orbit: rest for orbit, *rest in verify._orbit_gaps(lam)}
-            found = list(verify._check_gap_bound(lam, mu, *gaps[mu], ones))
+            found = list(verify._check_gap_bound(table, i, j, *gaps[mu], ones))
             assert len(found) == k
         assert (found[0]["gap_num4"], found[0]["required_num4"]) == (3, 4)
 
@@ -425,6 +443,25 @@ PARTITION_CALLS = {
     "check_ci_condition": check_ci_condition,
     "check_normality_gap": check_normality_gap,
 }
+
+
+MALFORMED_CALLS = {
+    "orbit_extremes": strata.orbit_extremes,
+    "enumerate_lambda": strata.enumerate_lambda,
+    "strata_report": strata.strata_report,
+    "is_normal": lambda lam: is_normal(lam, certify=True),
+    "minimum_stratum_gap": minimum_stratum_gap,
+    "check_ci_condition": check_ci_condition,
+    "check_normality_gap": check_normality_gap,
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_CALLS)
+@pytest.mark.parametrize("lam", [(3, 0), (2, -1), (2, 0, 1)])
+def test_malformed_partition_rejected(lam, name):
+    # a zero or negative part is not dropped: (3, 0) is not (3,)
+    with pytest.raises(ValueError, match="positive integers"):
+        MALFORMED_CALLS[name](lam)
 
 
 @pytest.mark.parametrize("lam", [(2, 2, 1), (3, 2), (2, 1, 1, 1)])
