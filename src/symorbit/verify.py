@@ -4,13 +4,14 @@ is_normal applies the 1-step test to a partition; everything else here
 certifies, by exhaustive enumeration up to a size bound, the exact
 identities and inequalities that make that test correct.
 
-A lemma suite is an instance space plus a check: space(n_max) yields
+A lemma suite is a space, a check, optional covers and optional extras,
+and _each builds every suite's runner from them: space(n_max) yields
 instance tuples in a fixed order, check(*instance) yields each one's
-counterexamples, and _each(space, check) is the runner that counts them.
-An item that stands for several instances, such as an orbit whose worst
-label bounds all of its labels, gives its count through _each's
-covers(*item).  A new suite is a space (_pairs or _up_to may serve), a
-check and a SUITES entry.
+counterexamples, covers(*item) counts an item that stands for several
+instances (an orbit whose worst label bounds all of its labels), and
+extras(items) sums the items up for the report.  A new suite is a space
+(_pairs, or _up_to with its 1-tuples (lam,), may serve), a check and a
+SUITES entry.
 Reports are byte-identical across runs apart from timing.
 """
 
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import sub
+from operator import attrgetter, sub
 from typing import Callable
 
 from . import abdiagrams as ab
@@ -127,7 +128,7 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
     With certify=True (and the partition small enough to enumerate), the
     verdict also carries the minimum stratum gap as a certificate.
     """
-    lam = tuple(lam)
+    lam = check_partition(lam)
     witness = normality_witness(lam)
     gap = None
     if certify and lam and sum(lam) <= lambda_bound(bound):
@@ -235,30 +236,39 @@ def _label_record(lam: Partition, mu: Partition, tau: TauString, gap4: int, **fi
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive lemma suites.  Each runner takes the size limit and returns
-# (instances_checked, counterexamples, extras).
+# Exhaustive lemma suites.  Each runner takes the size limit and how many
+# finds to keep (all when None); it returns (instances, finds, extras).
 
-Runner = Callable[[int], tuple[int, list[dict], dict | None]]
+Runner = Callable[..., tuple[int, list[dict], dict | None]]
 
 
-def _each(space, check, covers=None) -> Runner:
+def _each(space, check, covers=None, extras=None) -> Runner:
     """Runner collecting check's finds over space; each item counts once,
-    or covers(*item) times when it stands for several instances."""
-    def runner(n_max: int):
-        instances = 0
+    or covers(*item) times when it stands for several instances.  Past the
+    first keep finds it only counts, as extras' counterexamples_total."""
+    def runner(n_max: int, keep: int | None = None):
+        instances = dropped = 0
         ces: list[dict] = []
-        for item in space(n_max):
+        items = space(n_max) if extras is None else list(space(n_max))
+        for item in items:
             instances += 1 if covers is None else covers(*item)
             ces.extend(check(*item))
-        return instances, ces, None
+            if keep is not None and len(ces) > keep:
+                dropped += len(ces) - keep
+                del ces[keep:]
+        info = None if extras is None else extras(items)
+        if dropped:
+            info = {**(info or {}), "counterexamples_total": len(ces) + dropped}
+        return instances, ces, info
 
     return runner
 
 
 def _up_to(n_max: int):
-    """Every partition of 1..n_max, in enumeration order."""
+    """Every partition of 1..n_max as (lam,), in enumeration order."""
     for n in range(1, n_max + 1):
-        yield from _partitions(n)
+        for lam in _partitions(n):
+            yield (lam,)
 
 
 def _pairs(n_max: int, strict: bool = False):
@@ -500,11 +510,6 @@ def _check_gap_bound(table, i: int, j: int, gap4, count, witness, ones=None):
                             required_num4=required4, **extra)
 
 
-def _single_partitions(n_max: int):
-    for lam in _up_to(n_max):
-        yield (lam,)
-
-
 def _check_ci_codim(lam: Partition):
     top_dim = dim_stratum(tau_zero(lam), strata_spec(lam))
     expected = Fraction(dim_M(lam)) - dim_N(lam)
@@ -517,32 +522,29 @@ def _check_ci_codim(lam: Partition):
         }
 
 
-def _s_step_checks(n_max: int, s: int, check):
-    """check(lam, n_max) for each s-step partition of 1..n_max, plus their totals."""
-    results = [check(lam, n_max) for lam in _up_to(n_max) if s_step(lam, s)]
-    ces = [ce for result in results for ce in result.counterexamples]
-    return results, sum(result.instances for result in results), ces
+def _s_step_each(s: int, check, extras) -> Runner:
+    """_each over (check(lam, n_max),) for each s-step lam of 1..n_max; a
+    result yields its counterexamples and covers its instances."""
+    def space(n_max: int):
+        for (lam,) in _up_to(n_max):
+            if s_step(lam, s):
+                yield (check(lam, n_max),)
+
+    return _each(space, attrgetter("counterexamples"), attrgetter("instances"), extras)
 
 
-def _run_ci_majineq(n_max: int):
-    results, instances, ces = _s_step_checks(n_max, 2, check_ci_condition)
-    return instances, ces, {"partitions_checked": len(results)}
-
-
-def _run_nor_gap(n_max: int):
-    results, instances, ces = _s_step_checks(n_max, 1, check_normality_gap)
+def _nor_gap_extras(items) -> dict:
     cases: Counter[str] = Counter()
-    for result in results:
+    for (result,) in items:
         cases.update(result.cases)
-    flagged = [rec for result in results for rec in result.flagged]
-    extras = {
-        "partitions_checked": len(results),
+    flagged = [rec for (result,) in items for rec in result.flagged]
+    return {
+        "partitions_checked": len(items),
         "cases": dict(sorted(cases.items())),
         "general_bound_orbits": len(flagged),
         # general-route orbits whose quarter bound alone is < 2
         "general_bound_quarter_short": sum(1 for rec in flagged if rec["bound_num4"] < 8),
     }
-    return instances, ces, extras
 
 
 def _diagrams(n_max: int):
@@ -617,15 +619,16 @@ SUITES: dict[str, _Suite] = {
         "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b",
     ),
     "ci_codim": _Suite(
-        _each(_single_partitions, _check_ci_codim), 10, 12, 1,
+        _each(_up_to, _check_ci_codim), 10, 12, 1,
         "maximal-rank stratum dimension equals dim M - dim N",
     ),
     "ci_majineq": _Suite(
-        _run_ci_majineq, 9, 9, 1,
+        _s_step_each(2, check_ci_condition, lambda items: {"partitions_checked": len(items)}),
+        9, 9, 1,
         "2-step partitions: the maximal-rank stratum is strictly largest",
     ),
     "nor_gap": _Suite(
-        _run_nor_gap, 9, 9, 1,
+        _s_step_each(1, check_normality_gap, _nor_gap_extras), 9, 9, 1,
         "1-step partitions: every other stratum at least 2 below, cases covered",
     ),
     "ortho_equiv": _Suite(
@@ -654,12 +657,8 @@ def run_suite(
     if limit > suite.cap:
         raise ValueError(f"n_max = {limit} exceeds the {lemma_id} bound {suite.cap}")
     start = time.perf_counter()
-    instances, ces, extras = suite.runner(limit)
+    instances, ces, extras = suite.runner(limit, max_counterexamples)
     elapsed = time.perf_counter() - start
-    if len(ces) > max_counterexamples:
-        extras = dict(extras or {})
-        extras["counterexamples_total"] = len(ces)
-        ces = ces[:max_counterexamples]
     return LemmaReport(lemma_id, (suite.start_n, limit), instances, ces, elapsed, extras)
 
 

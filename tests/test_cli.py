@@ -175,9 +175,11 @@ class TestVerify:
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import symorbit.verify as verify_module
 
-        def failing_runner(n_max):
-            return 3, [{"lambda": [2], "problem": "planted"}], None
-
+        failing_runner = verify_module._each(
+            lambda n_max: [((2,),)],
+            lambda lam: [{"lambda": list(lam), "problem": "planted"}],
+            lambda lam: 3,
+        )
         fake = verify_module._Suite(failing_runner, 5, 5, 1, "planted failure")
         monkeypatch.setitem(SUITES, "fake", fake)
         code, out, _ = run(capsys, "verify", "fake")

@@ -175,6 +175,18 @@ class TestRunSuite:
             report = run_suite(lemma_id, n)
             assert report.ok and report.instances_checked == count
 
+    def test_s_step_suites_at_cap(self):
+        nor_gap_extras = {
+            "partitions_checked": 32,
+            "cases": {"general_bound": 95, "q1c1": 30, "q1c2": 7, "q2c2": 22},
+            "general_bound_orbits": 26,
+            "general_bound_quarter_short": 3,
+        }
+        for lemma_id, count, extras in (("ci_majineq", 1454, {"partitions_checked": 59}),
+                                        ("nor_gap", 154, nor_gap_extras)):
+            report = run_suite(lemma_id, 9)
+            assert report.ok and (report.instances_checked, report.extras) == (count, extras)
+
     def test_orbit_suites_past_cap(self):
         # the runners themselves, as run_suite refuses n above the cap of 9
         assert SUITES["comb_big"].runner(12) == (44730868881, [], None)
@@ -194,12 +206,9 @@ class TestRunSuite:
             assert first == second
 
     def test_counterexample_cap(self, monkeypatch):
-        def fake_runner(n_max):
-            return 50, [{"index": i} for i in range(25)], None
-
-        import symorbit.verify as verify_module
-
-        fake = verify_module._Suite(fake_runner, 5, 5, 1, "fake suite")
+        runner = verify._each(lambda n_max: ((i,) for i in range(25)),
+                              lambda i: [{"index": i}], lambda i: 2)
+        fake = verify._Suite(runner, 5, 5, 1, "fake suite")
         monkeypatch.setitem(SUITES, "fake", fake)
         report = run_suite("fake")
         assert len(report.counterexamples) == 10
@@ -210,11 +219,12 @@ class TestRunSuite:
     def test_counterexample_cap_below_one(self, monkeypatch):
         calls = []
 
-        def fake_runner(n_max):
+        def space(n_max):
             calls.append(n_max)
-            return 50, [{"index": i} for i in range(4)], None
+            return ((i,) for i in range(4))
 
-        fake = verify._Suite(fake_runner, 5, 5, 1, "fake suite")
+        runner = verify._each(space, lambda i: [{"index": i}], lambda i: 2)
+        fake = verify._Suite(runner, 5, 5, 1, "fake suite")
         monkeypatch.setitem(SUITES, "fake", fake)
         for cap in (0, -1):
             with pytest.raises(ValueError, match="max_counterexamples"):
@@ -412,6 +422,19 @@ class TestPlantedFaults:
                  for r in reports if not r.ok}
         assert found == failing
 
+    def test_runner_keeps_first_finds(self, monkeypatch):
+        _clear_caches()
+        try:
+            _perturb_c_r(monkeypatch)
+            runner = SUITES["qcr_identities"].runner
+            every = runner(8)[1]
+            _, kept, extras = runner(8, 10)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert kept == every[:10]
+        assert extras == {"counterexamples_total": len(every)}
+
 
 # Every public function taking a partition, as lam -> call.  Two-argument
 # ones pair lam with the all-ones partition of the same size, which every
@@ -450,6 +473,7 @@ MALFORMED_CALLS = {
     "enumerate_lambda": strata.enumerate_lambda,
     "strata_report": strata.strata_report,
     "is_normal": lambda lam: is_normal(lam, certify=True),
+    "is_normal_uncertified": is_normal,
     "minimum_stratum_gap": minimum_stratum_gap,
     "check_ci_condition": check_ci_condition,
     "check_normality_gap": check_normality_gap,
