@@ -4,12 +4,13 @@ is_normal applies the 1-step test to a partition; everything else here
 certifies, by exhaustive enumeration up to a size bound, the exact
 identities and inequalities that make that test correct.
 
-A lemma suite is a space, a check, optional covers and optional extras,
-and _each builds every suite's runner from them: space(n_max) yields
-instance tuples in a fixed order, check(*instance) yields each one's
+A lemma suite is a _Suite record: a space, a check, its sizes, and
+optional covers and extras.  space(n) yields the instance tuples of the
+one size n in a fixed order, check(*instance) yields each one's
 counterexamples, covers(*item) counts an item that stands for several
 instances (an orbit whose worst label bounds all of its labels), and
-extras(items) sums the items up for the report.  A new suite is a space
+extras(items) sums the items up for the report.  The record's runner is
+the one size loop, from start_n to n_max.  A new suite is a space
 (_pairs, or _up_to with its 1-tuples (lam,), may serve), a check and a
 SUITES entry.
 Reports are byte-identical across runs apart from timing.
@@ -125,8 +126,10 @@ def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | 
 def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -> NormalityVerdict:
     """Decide normality of the orbit closure by the 1-step test.
 
-    With certify=True (and the partition small enough to enumerate), the
-    verdict also carries the minimum stratum gap as a certificate.
+    With certify=True the verdict also carries the minimum stratum gap as
+    a certificate.  gap_certificate is None in three cases: certify is
+    off, |lam| exceeds the bound, or lam = (1^n) has no other orbit; so a
+    caller telling them apart compares |lam| with lambda_bound(bound).
     """
     lam = check_partition(lam)
     witness = normality_witness(lam)
@@ -236,48 +239,21 @@ def _label_record(lam: Partition, mu: Partition, tau: TauString, gap4: int, **fi
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive lemma suites.  Each runner takes the size limit and how many
-# finds to keep (all when None); it returns (instances, finds, extras).
+# Exhaustive lemma suites.  Each space takes one size n and yields that
+# size's instance tuples in a fixed order.
 
-Runner = Callable[..., tuple[int, list[dict], dict | None]]
-
-
-def _each(space, check, covers=None, extras=None) -> Runner:
-    """Runner collecting check's finds over space; each item counts once,
-    or covers(*item) times when it stands for several instances.  Past the
-    first keep finds it only counts, as extras' counterexamples_total."""
-    def runner(n_max: int, keep: int | None = None):
-        instances = dropped = 0
-        ces: list[dict] = []
-        items = space(n_max) if extras is None else list(space(n_max))
-        for item in items:
-            instances += 1 if covers is None else covers(*item)
-            ces.extend(check(*item))
-            if keep is not None and len(ces) > keep:
-                dropped += len(ces) - keep
-                del ces[keep:]
-        info = None if extras is None else extras(items)
-        if dropped:
-            info = {**(info or {}), "counterexamples_total": len(ces) + dropped}
-        return instances, ces, info
-
-    return runner
+def _up_to(n: int):
+    """Every partition of n as (lam,), in enumeration order."""
+    for lam in _partitions(n):
+        yield (lam,)
 
 
-def _up_to(n_max: int):
-    """Every partition of 1..n_max as (lam,), in enumeration order."""
-    for n in range(1, n_max + 1):
-        for lam in _partitions(n):
-            yield (lam,)
-
-
-def _pairs(n_max: int, strict: bool = False):
-    """Every dominating pair up to n_max as (table, i, j); strict drops i == j."""
-    for n in range(1, n_max + 1):
-        table = _table(n)
-        for i, mask in enumerate(table.below):
-            for j in _bits(mask & ~(1 << i) if strict else mask):
-                yield table, i, j
+def _pairs(n: int, strict: bool = False):
+    """Every dominating pair of size n as (table, i, j); strict drops i == j."""
+    table = _table(n)
+    for i, mask in enumerate(table.below):
+        for j in _bits(mask & ~(1 << i) if strict else mask):
+            yield table, i, j
 
 
 def _pair_record(table, i: int, j: int, **fields) -> dict:
@@ -322,15 +298,14 @@ def _strictness_hypothesis(table, i: int, j: int) -> bool:
             or any(b > a + 1 for a, b in zip(lam, mu)))
 
 
-def _step_pairs(n_max: int):
-    """(s, table, i, j) for s in (1, 2), s-step parts[i] and parts[j] strictly below."""
-    for n in range(1, n_max + 1):
-        table = _table(n)
-        for s in (1, 2):
-            for i, lam in enumerate(table.parts):
-                if s_step(lam, s):
-                    for j in _bits(table.below[i] & ~(1 << i)):
-                        yield s, table, i, j
+def _step_pairs(n: int):
+    """(s, table, i, j) for s in (1, 2), s-step parts[i] of n and parts[j] strictly below."""
+    table = _table(n)
+    for s in (1, 2):
+        for i, lam in enumerate(table.parts):
+            if s_step(lam, s):
+                for j in _bits(table.below[i] & ~(1 << i)):
+                    yield s, table, i, j
 
 
 def _check_diff_usef(s: int, table, i: int, j: int):
@@ -365,39 +340,34 @@ def _check_comb_col(table, i: int, j: int):
 
 
 @lru_cache(maxsize=None)
-def _tau_o_sum(lam: Partition) -> int:
-    return sum(map(ab.o_stat, tau_zero(lam)))
-
-
-@lru_cache(maxsize=None)
 def _sigma_o_sum(mu: Partition, t: int) -> int:
     return sum(map(ab.o_stat, sigma_zero(mu, t)))
 
 
 def _check_o_sums(table, i: int, j: int):
-    """Both label sums depend on one partition, so each is cached by it."""
+    """Both label sums are cached by their partition; tau_zero(lam) is
+    sigma_zero(lam, lam[0])."""
     lam = table.parts[i]
     sigma_sum = _sigma_o_sum(table.parts[j], lam[0])
-    tau_sum = _tau_o_sum(lam)
+    tau_sum = _sigma_o_sum(lam, lam[0])
     n = sum(lam)
     if sigma_sum != n or tau_sum != n:
         yield _pair_record(table, i, j, sigma_sum=sigma_sum, tau_sum=tau_sum, n=n)
 
 
-def _all_a_bases(letter_max: int):
-    """Diagrams whose rows are odd and all-'a' delimited, up to a letter budget."""
-    for m in range(letter_max + 1):
-        for lam in _partitions(m):
-            if all(p % 2 == 1 for p in lam):
-                yield ab.canonical(("a", p) for p in lam)
+def _a_bases(n: int):
+    """Diagrams of n letters whose rows are odd and all-'a' delimited."""
+    for lam in _partitions(n):
+        if all(p % 2 == 1 for p in lam):
+            yield ab.canonical(("a", p) for p in lam)
 
 
 AUG_LETTER_BUDGET = 4
 
 
-def _augmentations(n_max: int):
+def _augmentations(n: int):
     """(base, da, db, grown) for every da + db within the letter budget."""
-    for base in _all_a_bases(n_max):
+    for base in _a_bases(n):
         for da in range(AUG_LETTER_BUDGET + 1):
             for db in range(AUG_LETTER_BUDGET + 1 - da):
                 for grown in ab.aug(base, da, db):
@@ -418,9 +388,9 @@ def _check_comb_maxab(base, da: int, db: int, grown):
         }
 
 
-def _single_b_augmentations(n_max: int):
+def _single_b_augmentations(n: int):
     """(base, every single-b augmentation of base); each augmentation is an instance."""
-    for base in _all_a_bases(n_max):
+    for base in _a_bases(n):
         yield base, ab.aug(base, 0, 1)
 
 
@@ -473,19 +443,18 @@ def _lone_b_rows(table, i: int, j: int) -> int:
     return max(table.parts[j].count(k + 1) for k in hits)
 
 
-def _orbits(n_max: int):
+def _orbits(n: int):
     """(table, i, j, gap4, labels, worst label) for every orbit parts[j] <=
-    parts[i] of each table, |parts[i]| <= n_max, in _orbit_gaps order."""
-    for n in range(1, n_max + 1):
-        table = _table(n)
-        for i, lam in enumerate(table.parts):
-            for mu, *rest in _orbit_gaps(lam, n_max):
-                yield table, i, table.index[mu], *rest
+    parts[i] of n's table, in _orbit_gaps order."""
+    table = _table(n)
+    for i, lam in enumerate(table.parts):
+        for mu, *rest in _orbit_gaps(lam, n):
+            yield table, i, table.index[mu], *rest
 
 
-def _lone_b_orbits(n_max: int):
+def _lone_b_orbits(n: int):
     """The _orbits items with a column adding a lone b, plus _lone_b_rows."""
-    for table, i, j, *rest in _orbits(n_max):
+    for table, i, j, *rest in _orbits(n):
         ones = _lone_b_rows(table, i, j)
         if ones >= 0:
             yield table, i, j, *rest, ones
@@ -522,15 +491,9 @@ def _check_ci_codim(lam: Partition):
         }
 
 
-def _s_step_each(s: int, check, extras) -> Runner:
-    """_each over (check(lam, n_max),) for each s-step lam of 1..n_max; a
-    result yields its counterexamples and covers its instances."""
-    def space(n_max: int):
-        for (lam,) in _up_to(n_max):
-            if s_step(lam, s):
-                yield (check(lam, n_max),)
-
-    return _each(space, attrgetter("counterexamples"), attrgetter("instances"), extras)
+def _s_step_results(s: int, check):
+    """Space of (check(lam, n),) for each s-step partition lam of n."""
+    return lambda n: ((check(lam, n),) for lam in _partitions(n) if s_step(lam, s))
 
 
 def _nor_gap_extras(items) -> dict:
@@ -547,12 +510,11 @@ def _nor_gap_extras(items) -> dict:
     }
 
 
-def _diagrams(n_max: int):
-    """Every diagram with at most n_max letters, by letter total, then a-count."""
-    for total in range(n_max + 1):
-        for na in range(total + 1):
-            for diagram in ab.enumerate_all_diagrams(na, total - na):
-                yield (diagram,)
+def _diagrams(n: int):
+    """Every diagram of n letters, by a-count."""
+    for na in range(n + 1):
+        for diagram in ab.enumerate_all_diagrams(na, n - na):
+            yield (diagram,)
 
 
 def _check_ortho_equiv(diagram):
@@ -568,71 +530,97 @@ def _check_ortho_equiv(diagram):
 
 @dataclass(frozen=True)
 class _Suite:
-    runner: Runner
+    space: Callable
+    check: Callable
     default_n: int
     cap: int
     start_n: int
     description: str
+    covers: Callable | None = None
+    extras: Callable | None = None
+
+    def runner(self, n_max: int, keep: int | None = None) -> tuple[int, list[dict], dict | None]:
+        """(instances, finds, extras) over the sizes start_n..n_max.  Each
+        item counts once, or covers(*item) times; past the first keep finds
+        (all when None) it only counts, as extras' counterexamples_total."""
+        check, covers = self.check, self.covers
+        instances = dropped = 0
+        ces: list[dict] = []
+        items: list[tuple] | None = None if self.extras is None else []
+        for n in range(self.start_n, n_max + 1):
+            for item in self.space(n):
+                if items is not None:
+                    items.append(item)
+                instances += 1 if covers is None else covers(*item)
+                ces.extend(check(*item))
+                if keep is not None and len(ces) > keep:
+                    dropped += len(ces) - keep
+                    del ces[keep:]
+        info = None if items is None else self.extras(items)
+        if dropped:
+            info = {**(info or {}), "counterexamples_total": len(ces) + dropped}
+        return instances, ces, info
 
 
 SUITES: dict[str, _Suite] = {
     "diff_ind": _Suite(
-        _each(partial(_pairs, strict=True), _check_diff_ind), 10, 12, 1,
+        partial(_pairs, strict=True), _check_diff_ind, 10, 12, 1,
         "degeneration chains: endpoints, unit steps, monotone rows/columns",
     ),
     "diff_usef": _Suite(
-        _each(_step_pairs, _check_diff_usef), 10, 12, 1,
+        _step_pairs, _check_diff_usef, 10, 12, 1,
         "s-step inequality s*r >= c+q with its strictness cases (s in {1,2})",
     ),
     "qcr_identities": _Suite(
-        _each(_pairs, _check_qcr_identities,
-              lambda table, i, j: 1 + table.below[j].bit_count()), 10, 12, 1,
+        _pairs, _check_qcr_identities, 10, 12, 1,
         "q/c/r vanish together, c >= q, and c/r add along chains",
+        covers=lambda table, i, j: 1 + table.below[j].bit_count(),
     ),
     "comb_col": _Suite(
-        _each(_pairs, _check_comb_col), 10, 12, 1,
+        _pairs, _check_comb_col, 10, 12, 1,
         "column-square identity: sum of squared column differences = 2r",
     ),
     "o_sums": _Suite(
-        _each(_pairs, _check_o_sums), 10, 12, 1,
+        _pairs, _check_o_sums, 10, 12, 1,
         "odd-row counts of both canonical labels sum to n",
     ),
     "comb_maxab": _Suite(
-        _each(_augmentations, _check_comb_maxab), 8, 10, 0,
+        _augmentations, _check_comb_maxab, 8, 10, 0,
         "augmentation bound o - 2*Delta - o0 <= max(da, db) (letter budget 4)",
     ),
     "comb_maxab2": _Suite(
-        _each(_single_b_augmentations, _check_comb_maxab2,
-              lambda base, grown_list: len(grown_list)), 8, 10, 0,
+        _single_b_augmentations, _check_comb_maxab2, 8, 10, 0,
         "single-b augmentation equality o - 2*Delta - o0 = 1 - 2l",
+        covers=lambda base, grown_list: len(grown_list),
     ),
     "comb_clem": _Suite(
-        _each(_pairs, _check_comb_clem), 10, 12, 1,
+        _pairs, _check_comb_clem, 10, 12, 1,
         "columnwise deficit sum <= c+q, with equality c+1 when q = 1",
     ),
     "comb_big": _Suite(
-        _each(_orbits, _check_gap_bound, _labels), 9, 9, 1,
-        "stratum gap >= (2r - c - q)/4 for every label",
+        _orbits, _check_gap_bound, 9, 9, 1,
+        "stratum gap >= (2r - c - q)/4 for every label", covers=_labels,
     ),
     "comb_bigr": _Suite(
-        _each(_lone_b_orbits, _check_gap_bound, _labels), 9, 9, 1,
-        "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b",
+        _lone_b_orbits, _check_gap_bound, 9, 9, 1,
+        "stratum gap >= (2r - c - q)/4 + l/2 when some column adds a lone b", covers=_labels,
     ),
     "ci_codim": _Suite(
-        _each(_up_to, _check_ci_codim), 10, 12, 1,
+        _up_to, _check_ci_codim, 10, 12, 1,
         "maximal-rank stratum dimension equals dim M - dim N",
     ),
     "ci_majineq": _Suite(
-        _s_step_each(2, check_ci_condition, lambda items: {"partitions_checked": len(items)}),
-        9, 9, 1,
+        _s_step_results(2, check_ci_condition), attrgetter("counterexamples"), 9, 9, 1,
         "2-step partitions: the maximal-rank stratum is strictly largest",
+        covers=attrgetter("instances"), extras=lambda items: {"partitions_checked": len(items)},
     ),
     "nor_gap": _Suite(
-        _s_step_each(1, check_normality_gap, _nor_gap_extras), 9, 9, 1,
+        _s_step_results(1, check_normality_gap), attrgetter("counterexamples"), 9, 9, 1,
         "1-step partitions: every other stratum at least 2 below, cases covered",
+        covers=attrgetter("instances"), extras=_nor_gap_extras,
     ),
     "ortho_equiv": _Suite(
-        _each(_diagrams, _check_ortho_equiv), 12, 14, 0,
+        _diagrams, _check_ortho_equiv, 12, 14, 0,
         "balanced substring counts iff decomposable into standard pieces",
     ),
 }

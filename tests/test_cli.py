@@ -175,12 +175,12 @@ class TestVerify:
     def test_counterexample_exit_code(self, capsys, monkeypatch):
         import symorbit.verify as verify_module
 
-        failing_runner = verify_module._each(
-            lambda n_max: [((2,),)],
+        fake = verify_module._Suite(
+            lambda n: [((2,),)],
             lambda lam: [{"lambda": list(lam), "problem": "planted"}],
-            lambda lam: 3,
+            5, 5, 5, "planted failure",
+            covers=lambda lam: 3,
         )
-        fake = verify_module._Suite(failing_runner, 5, 5, 1, "planted failure")
         monkeypatch.setitem(SUITES, "fake", fake)
         code, out, _ = run(capsys, "verify", "fake")
         assert code == 1

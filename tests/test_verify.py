@@ -206,9 +206,9 @@ class TestRunSuite:
             assert first == second
 
     def test_counterexample_cap(self, monkeypatch):
-        runner = verify._each(lambda n_max: ((i,) for i in range(25)),
-                              lambda i: [{"index": i}], lambda i: 2)
-        fake = verify._Suite(runner, 5, 5, 1, "fake suite")
+        # start_n = default_n = 5, so the space runs for one size only
+        fake = verify._Suite(lambda n: ((i,) for i in range(25)), lambda i: [{"index": i}],
+                             5, 5, 5, "fake suite", covers=lambda i: 2)
         monkeypatch.setitem(SUITES, "fake", fake)
         report = run_suite("fake")
         assert len(report.counterexamples) == 10
@@ -219,12 +219,12 @@ class TestRunSuite:
     def test_counterexample_cap_below_one(self, monkeypatch):
         calls = []
 
-        def space(n_max):
-            calls.append(n_max)
+        def space(n):
+            calls.append(n)
             return ((i,) for i in range(4))
 
-        runner = verify._each(space, lambda i: [{"index": i}], lambda i: 2)
-        fake = verify._Suite(runner, 5, 5, 1, "fake suite")
+        fake = verify._Suite(space, lambda i: [{"index": i}], 5, 5, 5, "fake suite",
+                             covers=lambda i: 2)
         monkeypatch.setitem(SUITES, "fake", fake)
         for cap in (0, -1):
             with pytest.raises(ValueError, match="max_counterexamples"):
@@ -279,7 +279,7 @@ class TestTableFacts:
         expected = [(lam, *orbit) for n in range(1, 9) for lam in enumerate_partitions(n)
                     for orbit in verify._orbit_gaps(lam, 8)]
         found = [(table.parts[i], table.parts[j], *rest)
-                 for table, i, j, *rest in verify._orbits(8)]
+                 for n in range(1, 9) for table, i, j, *rest in verify._orbits(n)]
         assert found == expected
 
     def test_monotone_matches_pairwise_definition(self):
