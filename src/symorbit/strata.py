@@ -231,35 +231,31 @@ def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
     return {key: tuple(val) for key, val in groups.items()}
 
 
-def _fold(lam: Partition, leaf, extend, combine):
-    """Fold the stratum labels of lam over (column, required a-partition).
+def _fold(dims: tuple[int, ...], leaf, extend, combine):
+    """Fold the stratum labels over the dimension vector dims, column by
+    column from the last to the first.
 
-    The value of a state is combine() of extend(diagram, weight4, value of
-    the next state) over its edges, in enumerate_ortho order; states from
-    which no label completes have value None and are skipped.  Past the
-    last column the value is leaf.  Yields (orbit, value) per first-column
-    edge, the orbit being that edge's a-partition.
+    A state is a column with the a-partition its diagram must have; its
+    value is combine() of extend(diagram, weight4, value of the next
+    state) over its edges, in enumerate_ortho order.  Past the last column
+    the b-partition is empty and the value is leaf.  A state none of whose
+    edges leads on to a state with a value gets no value.  Yields (orbit,
+    value) per first-column edge, the orbit being that edge's a-partition.
     """
-    dims = strata_spec(lam).dims
-    t = len(dims) - 1
-    memo: dict[tuple[int, Partition], object] = {}
-
-    def state(i: int, required: Partition):
-        if i == t:
-            return leaf
-        key = (i, required)
-        if key not in memo:
-            values = [value for _, value in edges(i, required)]
-            memo[key] = combine(values) if values else None
-        return memo[key]
-
-    def edges(i: int, required: Partition | None):
-        for diagram, weight4, a_part, b_part in _edges(dims[i], dims[i + 1]).get(required, ()):
-            sub = state(i + 1, b_part)
-            if sub is not None:
-                yield a_part, extend(diagram, weight4, sub)
-
-    return edges(0, None)
+    values = {(): leaf}
+    for i in range(len(dims) - 2, 0, -1):
+        below = values
+        values = {}
+        for required, edges in _edges(dims[i], dims[i + 1]).items():
+            if required is None:
+                continue
+            subs = [extend(diagram, weight4, below[b_part])
+                    for diagram, weight4, _, b_part in edges if b_part in below]
+            if subs:
+                values[required] = combine(subs)
+    for diagram, weight4, a_part, b_part in _edges(dims[0], dims[1])[None]:
+        if b_part in values:
+            yield a_part, extend(diagram, weight4, values[b_part])
 
 
 def _concat(values) -> list:
@@ -277,17 +273,18 @@ def _check_labels(lam: Partition, bound: int | None) -> None:
 
 
 def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString]:
-    """All stratum labels for lam, depth-first over columns.
+    """All stratum labels for lam, in first-column edge order.
 
     Candidates per column come from the ortho-symmetric enumeration at the
-    right letter counts, filtered by the chaining condition; the search is
-    memoized per (column, required a-partition).  The maximal-rank label
-    always appears exactly once.  Partitions with more labels than the
+    right letter counts, filtered by the chaining condition; the label
+    fold builds each column's suffixes once per required a-partition,
+    from the last column to the first.  The maximal-rank label always
+    appears exactly once.  Partitions with more labels than the
     label budget are refused before any label is built.
     """
     _check_labels(lam, bound)
     labels = _fold(
-        lam,
+        strata_spec(lam).dims,
         [()],
         lambda diagram, _w, rest: [(diagram,) + tail for tail in rest],
         _concat,
@@ -321,7 +318,8 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
 
     The dimension formula is additive over columns once the orbit is
     fixed, so the maximum and the count are computed by the label fold,
-    carrying (largest weight4, count, first label attaining it) per state,
+    which carries (largest weight4, count, first label attaining it) per
+    column and required a-partition, from the last column to the first,
     instead of walking every label; the label spaces grow far too fast
     for that.  Orbits appear in the order of their first label.  It is
     the fold entry that validates lam and applies the size bound.
@@ -336,7 +334,7 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     spec = strata_spec(lam)
     by_orbit: dict[Partition, list[tuple[int, int, TauString]]] = {}
     for mu, value in _fold(
-        lam,
+        spec.dims,
         (0, 1, ()),
         lambda diagram, weight4, sub: (weight4 + sub[0], sub[1], (diagram,) + sub[2]),
         _best,
@@ -365,7 +363,7 @@ def strata_report(lam: Partition, bound: int | None = None) -> dict:
         return [((text,) + texts, weight4 + sub) for texts, sub in rest]
 
     rows = []
-    for mu, suffixes in _fold(lam, [((), 0)], extend, _concat):
+    for mu, suffixes in _fold(spec.dims, [((), 0)], extend, _concat):
         base4 = _dim4(spec, mu, 0)
         rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + weight4}
                     for texts, weight4 in suffixes)

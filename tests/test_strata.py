@@ -13,6 +13,7 @@ from symorbit.abdiagrams import (
     enumerate_all_diagrams,
     enumerate_ortho,
     format_diagram,
+    is_ortho_symmetric,
     o_stat,
     parse_diagram,
 )
@@ -88,17 +89,57 @@ def lambda_oracle(lam):
     return set(out)
 
 
-def dim_stratum_oracle(label, spec):
-    """Stratum dimension term by term in Fraction, straight from the
-    statistics: half the orbit dimension, the per-edge bulk terms, and
-    o/4 - Delta/2 per diagram."""
+def bulk_oracle(mu, spec):
+    """The part of a stratum dimension that the orbit mu fixes, in
+    Fraction: half the orbit dimension and the per-edge bulk terms."""
     dims = spec.dims
-    total = dim_orbit(orbit_partition(label)) / 2
+    total = dim_orbit(mu) / 2
     for i in range(spec.t):
         total += Fraction(dims[i] * dims[i + 1], 2) - Fraction(dims[i] + dims[i + 1], 4)
+    return total
+
+
+def dim_stratum_oracle(label, spec):
+    """Stratum dimension term by term in Fraction, straight from the
+    statistics: bulk_oracle plus o/4 - Delta/2 per diagram."""
+    total = bulk_oracle(orbit_partition(label), spec)
     for diagram in label:
         total += Fraction(o_stat(diagram), 4) - Fraction(delta_stat(diagram), 2)
     return total
+
+
+def merge(groups, key, count, weight4):
+    """Add count labels whose largest weight4 is weight4 to groups[key]."""
+    old_count, old_best = groups.get(key, (0, weight4))
+    groups[key] = (old_count + count, max(old_best, weight4))
+
+
+def brute_edges(na, nb):
+    """Ortho-symmetric diagrams among all diagrams with na a's and nb b's,
+    grouped by (a_partition, b_partition) as (count, largest o - 2*Delta)."""
+    groups = {}
+    for diagram in enumerate_all_diagrams(na, nb):
+        if is_ortho_symmetric(diagram):
+            key = (a_partition(diagram), b_partition(diagram))
+            merge(groups, key, 1, o_stat(diagram) - 2 * delta_stat(diagram))
+    return groups
+
+
+def forward_extremes(lam):
+    """Per orbit, (label count, largest summed weight4), by a transfer from
+    the first column to the last over (orbit, carried b-partition) states;
+    the first column's states are its edge groups."""
+    dims = strata_spec(lam).dims
+    states = brute_edges(dims[0], dims[1])
+    for i in range(1, len(dims) - 1):
+        edges = brute_edges(dims[i], dims[i + 1])
+        ahead = {}
+        for (mu, carried), (count, best) in states.items():
+            for (a_part, b_part), (n_edges, top) in edges.items():
+                if a_part == carried:
+                    merge(ahead, (mu, b_part), count * n_edges, best + top)
+        states = ahead
+    return {mu: value for (mu, _), value in states.items()}
 
 
 class TestStrataSpec:
@@ -431,6 +472,17 @@ class TestOrbitExtremes:
                 assert is_valid_tau_string(summary.witness, spec)
                 assert dim_stratum(summary.witness, spec) == best
         assert checked == 119
+
+    def test_matches_forward_transfer(self):
+        # a second edge source (all diagrams, filtered) and a forward fold
+        for lam in partitions_upto(11):
+            spec = strata_spec(lam)
+            summaries = orbit_extremes(lam)
+            expected = forward_extremes(lam)
+            assert set(summaries) == set(expected), lam
+            for mu, (count, weight4) in expected.items():
+                assert summaries[mu].count == count, (lam, mu)
+                assert summaries[mu].max_dim4 == 4 * bulk_oracle(mu, spec) + weight4, (lam, mu)
 
     def test_total_counts(self):
         for lam in partitions_upto(7):
