@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, zip_longest
 
 from . import abdiagrams as ab
 from .partitions import Partition, check_partition, dominates, dual
@@ -179,16 +179,16 @@ def _weight4(diagram: ab.Diagram) -> int:
     return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
-def _dim4(spec: StrataSpec, mu: Partition, weight4: int) -> int:
-    """Four times the dimension of a stratum over the orbit mu.
+def _bulk4(dims: tuple[int, ...]) -> int:
+    """Four times the orbit-free part of a stratum dimension: the per-edge
+    bulk terms 2 n_i n_{i+1} - n_i - n_{i+1}.
 
-    Twice the orbit dimension, _orbit2(mu), plus the per-edge bulk terms
-    2 n_i n_{i+1} - n_i - n_{i+1}, plus weight4, the sum of _weight4 over
-    the label's diagrams.
+    Four times the dimension of a stratum over the orbit mu is
+    _orbit2(mu) + _bulk4(dims) + weight4, weight4 being the sum of
+    _weight4 over the label's diagrams; the bulk is fixed by lam alone,
+    so the folds take it once per lam.
     """
-    dims = spec.dims
-    bulk = sum(2 * a * b - a - b for a, b in zip(dims, dims[1:]))
-    return _orbit2(mu) + bulk + weight4
+    return sum(2 * a * b - a - b for a, b in zip(dims, dims[1:]))
 
 
 def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
@@ -209,7 +209,8 @@ def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
                 f"column {i + 1} has letters ({na}, {nb}),"
                 f" spec wants ({dims[i]}, {dims[i + 1]})"
             )
-    return Fraction(_dim4(spec, orbit_partition(tau), sum(map(_weight4, tau))), 4)
+    weight4 = sum(map(_weight4, tau))
+    return Fraction(_orbit2(orbit_partition(tau)) + _bulk4(dims) + weight4, 4)
 
 
 _Edge = tuple[ab.Diagram, int, Partition, Partition]  # (diagram, weight4, a-, b-partition)
@@ -231,35 +232,46 @@ def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
     return {key: tuple(val) for key, val in groups.items()}
 
 
-def _fold(dims: tuple[int, ...], leaf, extend, combine):
+def _fold(dims: tuple[int, ...], leaf, step):
     """Fold the stratum labels over the dimension vector dims, column by
     column from the last to the first.
 
-    A state is a column with the a-partition its diagram must have; its
-    value is combine() of extend(diagram, weight4, value of the next
-    state) over its edges, in enumerate_ortho order.  Past the last column
-    the b-partition is empty and the value is leaf.  A state none of whose
-    edges leads on to a state with a value gets no value.  Yields (orbit,
-    value) per first-column edge, the orbit being that edge's a-partition.
+    A state is a column with the a-partition its diagram must have.  Its
+    value is step(edges, below): edges are the state's edges in
+    enumerate_ortho order, below maps each state of the next column that
+    has a value to that value, and step returns None when no edge leads
+    on to one.  Past the last column the b-partition is empty and the
+    value is leaf.  The first column is left to the caller: yields
+    (orbit, diagram, weight4, value of the next state) per first-column
+    edge whose b-partition has a value, in edge order, the orbit being
+    that edge's a-partition.
     """
     values = {(): leaf}
     for i in range(len(dims) - 2, 0, -1):
         below = values
         values = {}
         for required, edges in _edges(dims[i], dims[i + 1]).items():
-            if required is None:
-                continue
-            subs = [extend(diagram, weight4, below[b_part])
-                    for diagram, weight4, _, b_part in edges if b_part in below]
-            if subs:
-                values[required] = combine(subs)
+            if required is not None:
+                value = step(edges, below)
+                if value is not None:
+                    values[required] = value
     for diagram, weight4, a_part, b_part in _edges(dims[0], dims[1])[None]:
-        if b_part in values:
-            yield a_part, extend(diagram, weight4, values[b_part])
+        value = values.get(b_part)
+        if value is not None:
+            yield a_part, diagram, weight4, value
 
 
-def _concat(values) -> list:
-    return list(chain.from_iterable(values))
+def _listing(extend):
+    """A fold step listing a state's label suffixes: extend(diagram,
+    weight4, suffixes of the next state) per edge, joined in edge order."""
+    def step(edges, below):
+        suffixes = []
+        for diagram, weight4, _, b_part in edges:
+            if b_part in below:
+                suffixes.extend(extend(diagram, weight4, below[b_part]))
+        return suffixes or None
+
+    return step
 
 
 def _check_labels(lam: Partition, bound: int | None) -> None:
@@ -270,6 +282,10 @@ def _check_labels(lam: Partition, bound: int | None) -> None:
             f"lambda = {lam} has {count} stratum labels, more than the"
             f" label bound {_LABEL_BUDGET}"
         )
+
+
+def _prepend(diagram, _weight4, tails):
+    return [(diagram,) + tail for tail in tails]
 
 
 def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString]:
@@ -283,46 +299,44 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
     label budget are refused before any label is built.
     """
     _check_labels(lam, bound)
-    labels = _fold(
-        strata_spec(lam).dims,
-        [()],
-        lambda diagram, _w, rest: [(diagram,) + tail for tail in rest],
-        _concat,
-    )
-    return _concat(suffixes for _, suffixes in labels)
+    labels = _fold(strata_spec(lam).dims, [()], _listing(_prepend))
+    return [(diagram,) + tail for _, diagram, _, tails in labels for tail in tails]
 
 
 @dataclass(frozen=True)
 class OrbitSummary:
-    """What a fixed orbit contributes to the stratum poset of one variety,
-    its largest stratum dimension in quarter-units."""
+    """What a fixed orbit contributes to the stratum poset of one variety:
+    its largest stratum dimension in quarter-units and its label count."""
 
     max_dim4: int
     count: int
-    witness: TauString  # the first label of this orbit attaining max_dim4
 
 
-def _best(values: list[tuple[int, int, TauString]]) -> tuple[int, int, TauString]:
-    """Largest weight4 with its label (the first one wins ties), and the count."""
-    top = values[0]
+def _extremes(edges, below):
+    """A state's (largest weight4, label count) over its edges, or None."""
+    top = None
     count = 0
-    for value in values:
-        count += value[1]
-        if value[0] > top[0]:
-            top = value
-    return top[0], count, top[2]
+    for _, weight4, _, b_part in edges:
+        sub = below.get(b_part)
+        if sub is not None:
+            weight4 += sub[0]
+            if top is None or weight4 > top:
+                top = weight4
+            count += sub[1]
+    return None if top is None else (top, count)
 
 
 def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, OrbitSummary]:
-    """Per orbit: label count, maximal stratum dimension, and a witness.
+    """Per orbit: label count and maximal stratum dimension.
 
     The dimension formula is additive over columns once the orbit is
     fixed, so the maximum and the count are computed by the label fold,
-    which carries (largest weight4, count, first label attaining it) per
-    column and required a-partition, from the last column to the first,
+    whose value per column and required a-partition is (largest weight4,
+    count) and carries no label, from the last column to the first,
     instead of walking every label; the label spaces grow far too fast
-    for that.  Orbits appear in the order of their first label.  It is
-    the fold entry that validates lam and applies the size bound.
+    for that.  Orbits appear in the order of their first label;
+    _witnesses rebuilds a maximal label where one is needed.  It is the
+    fold entry that validates lam and applies the size bound.
     """
     lam = check_partition(lam)
     limit = lambda_bound(bound)
@@ -331,20 +345,54 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
             f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
             f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
         )
-    spec = strata_spec(lam)
-    by_orbit: dict[Partition, list[tuple[int, int, TauString]]] = {}
-    for mu, value in _fold(
-        spec.dims,
-        (0, 1, ()),
-        lambda diagram, weight4, sub: (weight4 + sub[0], sub[1], (diagram,) + sub[2]),
-        _best,
-    ):
-        by_orbit.setdefault(mu, []).append(value)
-    summaries = {}
-    for mu, values in by_orbit.items():
-        weight4, count, witness = _best(values)
-        summaries[mu] = OrbitSummary(_dim4(spec, mu, weight4), count, witness)
-    return summaries
+    dims = strata_spec(lam).dims
+    extremes: dict[Partition, list[int]] = {}
+    for mu, _, weight4, (top, count) in _fold(dims, (0, 1), _extremes):
+        weight4 += top
+        orbit = extremes.get(mu)
+        if orbit is None:
+            extremes[mu] = [weight4, count]
+        else:
+            if weight4 > orbit[0]:
+                orbit[0] = weight4
+            orbit[1] += count
+    bulk4 = _bulk4(dims)
+    return {mu: OrbitSummary(_orbit2(mu) + bulk4 + top, count)
+            for mu, (top, count) in extremes.items()}
+
+
+def _first_best(edges, below):
+    """A state's largest weight4 with the first suffix attaining it."""
+    best = None
+    for diagram, weight4, _, b_part in edges:
+        if b_part in below:
+            top, tail = below[b_part]
+            if best is None or weight4 + top > best[0]:
+                best = (weight4 + top, (diagram,) + tail)
+    return best
+
+
+@lru_cache(maxsize=1)
+def _witnesses(lam: Partition) -> dict[Partition, TauString]:
+    """Per orbit of lam, the first label in enumerate_lambda order that
+    attains the orbit's maximal stratum dimension.
+
+    The extremes fold again, with values of (largest weight4, first suffix
+    attaining it), so a state keeps its first maximal edge, as the first
+    label wins ties.  Only a counterexample record reads a witness, so it
+    is rebuilt on demand, once for the lam last asked for; lam must be
+    one that orbit_extremes accepts.
+    """
+    firsts: dict[Partition, tuple[int, TauString]] = {}
+    for mu, diagram, weight4, (top, tail) in _fold(strata_spec(lam).dims, (0, ()), _first_best):
+        if mu not in firsts or weight4 + top > firsts[mu][0]:
+            firsts[mu] = (weight4 + top, (diagram,) + tail)
+    return {mu: label for mu, (_, label) in firsts.items()}
+
+
+def _texts(diagram, weight4, suffixes):
+    text = ab.format_diagram(diagram)
+    return [((text,) + texts, weight4 + sub) for texts, sub in suffixes]
 
 
 def strata_report(lam: Partition, bound: int | None = None) -> dict:
@@ -352,21 +400,17 @@ def strata_report(lam: Partition, bound: int | None = None) -> dict:
 
     The rows come from the label fold, in enumerate_lambda order: each
     suffix carries its diagrams' text and the sum of their weight4, and
-    a row's dimension is its orbit's _dim4 base plus that sum.  It
-    refuses the partitions that enumerate_lambda refuses.
+    a row's dimension is its orbit's _orbit2, the bulk of lam and that
+    sum.  It refuses the partitions that enumerate_lambda refuses.
     """
     spec = strata_spec(lam)
     _check_labels(lam, bound)
-
-    def extend(diagram, weight4, rest):
-        text = ab.format_diagram(diagram)
-        return [((text,) + texts, weight4 + sub) for texts, sub in rest]
-
+    bulk4 = _bulk4(spec.dims)
     rows = []
-    for mu, suffixes in _fold(spec.dims, [((), 0)], extend, _concat):
-        base4 = _dim4(spec, mu, 0)
-        rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + weight4}
-                    for texts, weight4 in suffixes)
+    for mu, diagram, weight4, suffixes in _fold(spec.dims, [((), 0)], _listing(_texts)):
+        base4 = _orbit2(mu) + bulk4
+        rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + sum4}
+                    for texts, sum4 in _texts(diagram, weight4, suffixes))
     dn = dim_N(lam)
     if dn.denominator != 1:
         raise AssertionError("dim N should always be integral")

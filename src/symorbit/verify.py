@@ -40,8 +40,8 @@ from .partitions import (
     s_step,
 )
 from .strata import (
-    TauString,
     _weight4,
+    _witnesses,
     dim_M,
     dim_N,
     dim_stratum,
@@ -141,11 +141,13 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
 
 def _orbit_gaps(lam: Partition, bound: int | None = None):
     """Per orbit mu <= lam, lam's own included: (mu, worst gap in quarter-units,
-    label count, worst label).  The top stratum comes from dim_stratum, not
-    the fold; as a quarter-integer, four times it has denominator 1."""
+    label count), from the (max, count) values of orbit_extremes; no label
+    is built unless _label_record asks for a witness.  The top stratum
+    comes from dim_stratum, not the fold; as a quarter-integer, four times
+    it has denominator 1."""
     top4 = (dim_stratum(tau_zero(lam), strata_spec(lam)) * 4).numerator
     for mu, summary in orbit_extremes(lam, bound).items():
-        yield mu, top4 - summary.max_dim4, summary.count, summary.witness
+        yield mu, top4 - summary.max_dim4, summary.count
 
 
 def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
@@ -154,9 +156,9 @@ def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
     The comparison runs over the worst (highest-dimensional) label of each
     orbit, which bounds every other label of that orbit at once.
     """
-    def judge(mu, gap4, count, witness):
+    def judge(mu, gap4, count):
         if gap4 <= 0:
-            yield _label_record(lam, mu, witness, gap4)
+            yield _label_record(lam, mu, gap4)
 
     return _gap_check(lam, 2, bound, judge)
 
@@ -173,9 +175,9 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
     cases: Counter[str] = Counter()
     flagged: list[dict] = []
 
-    def judge(mu, gap4, count, witness):
+    def judge(mu, gap4, count):
         if gap4 < 8:
-            yield _label_record(lam, mu, witness, gap4, problem="gap below 2")
+            yield _label_record(lam, mu, gap4, problem="gap below 2")
         stats = diff_stats(lam, mu)
         if stats.q == 2 and stats.c == 2:
             bucket = "q2c2"
@@ -194,7 +196,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
             )
         else:
             bucket = "uncovered"
-            yield _label_record(lam, mu, witness, gap4, problem="case coverage",
+            yield _label_record(lam, mu, gap4, problem="case coverage",
                                 q=stats.q, c=stats.c, r=stats.r)
         cases[bucket] += count
 
@@ -207,7 +209,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
 
 def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     """Count labels and the minimum gap over the orbits below an s-step lam;
-    judge(mu, gap4, count, witness) yields one orbit's counterexamples."""
+    judge(mu, gap4, count) yields one orbit's counterexamples."""
     lam = check_partition(lam)
     if not lam:
         return StrataCheck(lam, "skipped", "empty partition", 0, None)
@@ -216,22 +218,24 @@ def _gap_check(lam: Partition, s: int, bound: int | None, judge) -> StrataCheck:
     instances = 0
     min_gap4: int | None = None
     ces: list[dict] = []
-    for mu, gap4, count, witness in _orbit_gaps(lam, bound):
+    for mu, gap4, count in _orbit_gaps(lam, bound):
         if mu == lam:
             continue
         instances += count
         if min_gap4 is None or gap4 < min_gap4:
             min_gap4 = gap4
-        ces.extend(judge(mu, gap4, count, witness))
+        ces.extend(judge(mu, gap4, count))
     status = "failed" if ces else "ok"
     min_gap = None if min_gap4 is None else Fraction(min_gap4, 4)
     return StrataCheck(lam, status, None, instances, min_gap, ces)
 
 
-def _label_record(lam: Partition, mu: Partition, tau: TauString, gap4: int, **fields) -> dict:
+def _label_record(lam: Partition, mu: Partition, gap4: int, **fields) -> dict:
+    """A counterexample at the orbit mu below lam, with the orbit's first
+    worst label as its witness, rebuilt here and only here."""
     return {
         "lambda": list(lam),
-        "tau": [ab.format_diagram(d) for d in tau],
+        "tau": [ab.format_diagram(d) for d in _witnesses(lam)[mu]],
         "mu": list(mu),
         "gap_num4": gap4,
         **fields,
@@ -444,7 +448,7 @@ def _lone_b_rows(table, i: int, j: int) -> int:
 
 
 def _orbits(n: int):
-    """(table, i, j, gap4, labels, worst label) for every orbit parts[j] <=
+    """(table, i, j, gap4, labels) for every orbit parts[j] <=
     parts[i] of n's table, in _orbit_gaps order."""
     table = _table(n)
     for i, lam in enumerate(table.parts):
@@ -465,7 +469,7 @@ def _labels(table, i, j, gap4, count, *_) -> int:
     return count
 
 
-def _check_gap_bound(table, i: int, j: int, gap4, count, witness, ones=None):
+def _check_gap_bound(table, i: int, j: int, gap4, count, ones=None):
     """Gap >= (2r - c - q)/4, plus ones/2 when given; compared in quarter-units.
 
     For a fixed orbit the bound is constant, so checking the orbit's
@@ -475,7 +479,7 @@ def _check_gap_bound(table, i: int, j: int, gap4, count, witness, ones=None):
     required4 = 2 * r - c - q + (0 if ones is None else 2 * ones)
     if gap4 < required4:
         extra = {} if ones is None else {"l": ones}
-        yield _label_record(table.parts[i], table.parts[j], witness, gap4,
+        yield _label_record(table.parts[i], table.parts[j], gap4,
                             required_num4=required4, **extra)
 
 

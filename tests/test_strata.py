@@ -21,6 +21,7 @@ from symorbit.partitions import dominates, dual, enumerate_below, enumerate_part
 from symorbit.strata import (
     _LABEL_BUDGET,
     _edges,
+    _witnesses,
     d_lists,
     dim_M,
     dim_N,
@@ -454,6 +455,7 @@ class TestOrbitExtremes:
                 continue
             checked += 1
             spec = strata_spec(lam)
+            witnesses = _witnesses(lam)
             by_orbit = {}
             for label in enumerate_lambda(lam):
                 mu = orbit_partition(label)
@@ -463,14 +465,16 @@ class TestOrbitExtremes:
                     best, first = dim, label
                 by_orbit[mu] = (best, count + 1, first)
             assert list(summaries) == list(by_orbit)  # orbits in label order
+            assert list(witnesses) == list(by_orbit)
             for mu, summary in summaries.items():
                 best, count, first = by_orbit[mu]
                 assert Fraction(summary.max_dim4, 4) == best
                 assert summary.count == count
-                assert summary.witness == first  # the first label wins ties
-                assert orbit_partition(summary.witness) == mu
-                assert is_valid_tau_string(summary.witness, spec)
-                assert dim_stratum(summary.witness, spec) == best
+                witness = witnesses[mu]
+                assert witness == first  # the first label wins ties
+                assert orbit_partition(witness) == mu
+                assert is_valid_tau_string(witness, spec)
+                assert dim_stratum(witness, spec) == best
         assert checked == 119
 
     def test_matches_forward_transfer(self):
@@ -493,7 +497,7 @@ class TestOrbitExtremes:
         for lam in partitions_upto(7):
             summary = orbit_extremes(lam)[lam]
             assert summary.count == 1
-            assert summary.witness == tau_zero(lam)
+            assert _witnesses(lam)[lam] == tau_zero(lam)
 
 
 class TestReport:

@@ -1,5 +1,7 @@
 """Decision rule, per-partition checks, and the lemma suite harness."""
 
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -402,6 +404,16 @@ PLANTED_FAULTS = [
 ]
 
 
+# The sha256 of run_all(6)'s reports, elapsed_s removed, under the two
+# faults whose counterexamples carry a witness label, with the number of
+# such counterexamples.  A fold that picked another label per orbit
+# changes the tau fields and so the digest.
+WITNESS_BYTES = [
+    (_stratum_dim_low, "86e9a7eb019a9afe52a35e99886dd846a5d3ad43a86d923e1cca558cbbbd4ea0", 215),
+    (_two_row_weight_up, "cff4a44c874c7d557116edb89c1a2d5b5ffeb17a5ee31d19279b8c3d8a82730b", 22),
+]
+
+
 class TestPlantedFaults:
     """Every suite compares independent computations, so a planted fault fails it."""
 
@@ -421,6 +433,40 @@ class TestPlantedFaults:
         found = {r.lemma_id: (r.instances_checked, len(r.counterexamples))
                  for r in reports if not r.ok}
         assert found == failing
+
+    @pytest.mark.parametrize("plant, digest, labelled", WITNESS_BYTES,
+                             ids=[plant.__name__.strip("_") for plant, *_ in WITNESS_BYTES])
+    def test_witness_bytes(self, monkeypatch, plant, digest, labelled):
+        # every counterexample's tau, rebuilt on demand, is the first
+        # worst label of its orbit, byte for byte
+        _clear_caches()
+        try:
+            plant(monkeypatch)
+            reports = [r.to_dict() for r in run_all(6, max_counterexamples=10**9)]
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        for report in reports:
+            report.pop("elapsed_s")
+        text = json.dumps(reports, sort_keys=True)
+        assert sum(1 for r in reports for ce in r["counterexamples"] if "tau" in ce) == labelled
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_witnesses_only_for_records(self, monkeypatch):
+        # a passing run builds no label; a failing check builds its lam's
+        # witnesses once, however many records it writes
+        _clear_caches()
+        try:
+            assert all(report.ok for report in run_all(5))
+            assert strata._witnesses.cache_info().misses == 0
+            _stratum_dim_low(monkeypatch)
+            result = check_ci_condition((3, 2, 1))
+            built = strata._witnesses.cache_info().misses
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        assert len(result.counterexamples) == 5
+        assert built == 1
 
     def test_runner_keeps_first_finds(self, monkeypatch):
         _clear_caches()
