@@ -106,20 +106,16 @@ def _cmd_verify(args) -> int:
 
 
 def _poset_data(n: int) -> tuple[list[dict], list[tuple[str, str]]]:
-    nodes = []
-    for lam in enumerate_partitions(n):
-        dim = dim_orbit(lam)
-        nodes.append(
-            {
-                "partition": format_partition(lam),
-                "normal": verify.is_normal(lam).normal,
-                "dim_orbit": int(dim),
-            }
-        )
-    edges = [
-        (format_partition(lam), format_partition(mu))
-        for lam, mu in dominance_covers(n)
+    names = {lam: format_partition(lam) for lam in enumerate_partitions(n)}
+    nodes = [
+        {
+            "partition": name,
+            "normal": verify.is_normal(lam).normal,
+            "dim_orbit": int(dim_orbit(lam)),
+        }
+        for lam, name in names.items()
     ]
+    edges = [(names[lam], names[mu]) for lam, mu in dominance_covers(n)]
     return nodes, edges
 
 

@@ -53,7 +53,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(lam: Partition) -> str:
-    return ",".join(str(p) for p in lam) if lam else "[]"
+    return ",".join(map(str, lam)) if lam else "[]"
 
 
 def dual(lam: Partition) -> Partition:
@@ -126,23 +126,35 @@ def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     falls short.  That choice keeps every row length and every column
     length monotone along the chain, and each consecutive pair is at
     q-distance exactly 1.  Returns [lam] when lam == mu.
+
+    Both pointers only move forward.  The rows before `first` always equal
+    the target, and a moved box leaves its row at least as long as the
+    target's (cur[i] - 1 >= target[i]), so no row ever drops below the
+    target again and `j`, the first row that falls short, never moves back.
     """
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; no degeneration chain exists")
     width = max(len(lam), len(mu))
-    cur = list(lam) + [0] * (width - len(lam))
+    # cur's trailing 0 ends the scan of a block and marks where the parts end
+    cur = list(lam) + [0] * (width - len(lam) + 1)
     target = list(mu) + [0] * (width - len(mu))
     chain = [tuple(lam)]
-    while cur != target:
-        first = next(i for i in range(width) if cur[i] > target[i])
-        j = next(i for i in range(width) if cur[i] < target[i])
-        i = max(k for k in range(first, width) if cur[k] == cur[first])
+    first = j = 0
+    while True:
+        while first < width and cur[first] == target[first]:
+            first += 1
+        if first == width:
+            return chain
+        while cur[j] >= target[j]:
+            j += 1
+        i = first
+        while cur[i + 1] == cur[first]:
+            i += 1
         if i >= j:
             raise AssertionError("box move would not preserve the partition shape")
         cur[i] -= 1
         cur[j] += 1
-        chain.append(tuple(p for p in cur if p > 0))
-    return chain
+        chain.append(tuple(cur[:cur.index(0)]))
 
 
 @lru_cache(maxsize=None)

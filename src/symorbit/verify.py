@@ -265,9 +265,8 @@ def _pair_record(table, i: int, j: int, **fields) -> dict:
     return {"lambda": list(table.parts[i]), "mu": list(table.parts[j]), **fields}
 
 
-def _monotone(values: tuple[int, ...]) -> bool:
-    up = tuple(sorted(values))
-    return values == up or values == up[::-1]
+def _l1(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(map(abs, map(sub, a, b)))
 
 
 def _check_diff_ind(table, i: int, j: int):
@@ -279,16 +278,23 @@ def _check_diff_ind(table, i: int, j: int):
         problems.append("endpoints")
     if len(chain) != _qcr(table, i, j)[0] + 1:
         problems.append("length")
-    for a, b in zip(idx, idx[1:]):
-        if (a is None or b is None or a == b or not table.below[a] >> b & 1
-                or _qcr(table, a, b)[0] != 1):
+    if None in idx:  # a step that leaves P(n) fails "step"; no row is tested
+        if len(idx) > 1:
             problems.append("step")
-            break
-    if None not in idx:  # a chain leaving P(n) already fails "step"
-        if not all(map(_monotone, zip(*(table.padded[k] for k in idx)))):
+    else:
+        # Every row (column) length is monotone along the chain exactly when
+        # the L1 lengths of the steps add up to the L1 distance between the
+        # ends.  A step's q is half its L1 length.
+        rows = [table.padded[k] for k in idx]
+        dist = list(map(_l1, rows, rows[1:]))
+        below = table.below
+        if any(d // 2 != 1 or not below[a] >> b & 1
+               for a, b, d in zip(idx, idx[1:], dist)):
+            problems.append("step")
+        if sum(dist) != _l1(rows[0], rows[-1]):
             problems.append("row monotonicity")
-        duals = (table.padded[table.dual[k]] for k in idx)
-        if not all(map(_monotone, zip(*duals))):
+        cols = [table.padded[table.dual[k]] for k in idx]
+        if sum(map(_l1, cols, cols[1:])) != _l1(cols[0], cols[-1]):
             problems.append("column monotonicity")
     if problems:
         yield _pair_record(table, i, j, problems=problems)

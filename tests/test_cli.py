@@ -232,6 +232,13 @@ class TestPoset:
             }
             assert got == expected
 
+    def test_edge_order_is_cover_order(self, capsys):
+        for n in range(1, 11):
+            _, out, _ = run(capsys, "poset", str(n), "--format", "json")
+            expected = [[",".join(map(str, lam)), ",".join(map(str, mu))]
+                        for lam, mu in dominance_covers(n)]
+            assert json.loads(out)["edges"] == expected
+
     def test_node_order_is_enumeration_order(self, capsys):
         _, out, _ = run(capsys, "poset", "6", "--format", "json")
         payload = json.loads(out)

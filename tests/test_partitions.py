@@ -235,6 +235,28 @@ class TestDiffStats:
         assert 2 * st_nu.r == st_nu.c + st_nu.q  # equality is attained
 
 
+def scanning_chain(lam, mu):
+    """degeneration_chain as it was first written: every step rescans the
+    rows for the first excess, the first shortfall and the end of the
+    excess row's block."""
+    if not dominates(lam, mu):
+        raise ValueError(f"{lam} does not dominate {mu}; no degeneration chain exists")
+    width = max(len(lam), len(mu))
+    cur = list(lam) + [0] * (width - len(lam))
+    target = list(mu) + [0] * (width - len(mu))
+    chain = [tuple(lam)]
+    while cur != target:
+        first = next(i for i in range(width) if cur[i] > target[i])
+        j = next(i for i in range(width) if cur[i] < target[i])
+        i = max(k for k in range(first, width) if cur[k] == cur[first])
+        if i >= j:
+            raise AssertionError("box move would not preserve the partition shape")
+        cur[i] -= 1
+        cur[j] += 1
+        chain.append(tuple(p for p in cur if p > 0))
+    return chain
+
+
 class TestDegenerationChain:
     def test_worked_example(self):
         chain = degeneration_chain((7, 2, 2, 1), (5, 3, 1, 1, 1, 1))
@@ -278,6 +300,16 @@ class TestDegenerationChain:
             height = max(len(d) for d in duals)
             for c in range(height):
                 assert monotone([d[c] if c < len(d) else 0 for d in duals])
+
+    def test_matches_scanning_reference(self):
+        for lam, mu in dominating_pairs(12):
+            assert degeneration_chain(lam, mu) == scanning_chain(lam, mu), (lam, mu)
+        for lam, mu in [((2, 2), (3, 1)), ((3, 3), (4, 1, 1)), ((2, 1, 1), (3, 1))]:
+            with pytest.raises(ValueError) as expected:
+                scanning_chain(lam, mu)
+            with pytest.raises(ValueError) as got:
+                degeneration_chain(lam, mu)
+            assert str(got.value) == str(expected.value)
 
 
 class TestEnumeration:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -246,6 +247,35 @@ class TestRunSuite:
         assert all(r.ok for r in reports)
 
 
+def _monotone(values):
+    up = tuple(sorted(values))
+    return values == up or values == up[::-1]
+
+
+def _reference_diff_ind(table, i, j, chain):
+    """The problems of the diff_ind check for this chain, with every row
+    and every column length tested for monotonicity on its own."""
+    lam, mu = table.parts[i], table.parts[j]
+    idx = [table.index.get(p) for p in chain]
+    problems = []
+    if chain[0] != lam or chain[-1] != mu:
+        problems.append("endpoints")
+    if len(chain) != partitions._qcr(table, i, j)[0] + 1:
+        problems.append("length")
+    for a, b in zip(idx, idx[1:]):
+        if (a is None or b is None or a == b or not table.below[a] >> b & 1
+                or partitions._qcr(table, a, b)[0] != 1):
+            problems.append("step")
+            break
+    if None not in idx:
+        if not all(map(_monotone, zip(*(table.padded[k] for k in idx)))):
+            problems.append("row monotonicity")
+        duals = (table.padded[table.dual[k]] for k in idx)
+        if not all(map(_monotone, zip(*duals))):
+            problems.append("column monotonicity")
+    return problems
+
+
 class TestTableFacts:
     """The suites' per-partition shortcuts against their public definitions."""
 
@@ -289,7 +319,28 @@ class TestTableFacts:
             for values in product(range(4), repeat=length):
                 pairs = list(zip(values, values[1:]))
                 expected = all(a <= b for a, b in pairs) or all(a >= b for a, b in pairs)
-                assert verify._monotone(values) == expected, values
+                assert _monotone(values) == expected, values
+
+    def test_diff_ind_matches_per_coordinate_check(self, monkeypatch):
+        # the true chain, its reverse, a shuffle, one that stays put for a
+        # step and one that leaves P(n)
+        rng = random.Random(18)
+        chain_of = partitions.degeneration_chain
+        seen = set()
+        for n in range(1, 9):
+            for table, i, j in verify._pairs(n):
+                lam, mu = table.parts[i], table.parts[j]
+                chain = chain_of(lam, mu)
+                shuffled = rng.sample(chain, len(chain))
+                for variant in (chain, chain[::-1], shuffled, chain + [mu],
+                                chain[:-1] + [mu + (1,)]):
+                    monkeypatch.setattr(verify, "degeneration_chain", lambda *_, v=variant: v)
+                    got = [r["problems"] for r in verify._check_diff_ind(table, i, j)]
+                    expected = _reference_diff_ind(table, i, j, variant)
+                    assert got == ([expected] if expected else []), (lam, mu, variant)
+                    seen.update(expected)
+        assert seen == {"endpoints", "length", "step", "row monotonicity",
+                        "column monotonicity"}
 
 
 class TestQuarterThresholds:
