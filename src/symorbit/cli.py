@@ -21,7 +21,7 @@ from .partitions import (
 )
 from .strata import dim_orbit, lambda_bound, strata_report
 
-POSET_BOUND = 20
+POSET_BOUND = 40
 
 
 def _dump(obj) -> str:

@@ -189,19 +189,22 @@ def enumerate_below(lam: Partition) -> list[Partition]:
     return [mu for mu in _partitions(sum(lam)) if dominates(lam, mu)]
 
 
-def _lower_covers(rows: tuple[int, ...]):
-    """The partitions covered by the partition with these zero-padded rows.
+def _lower_covers(lam: Partition):
+    """The partitions that lam covers in the dominance order.
 
     Brylawski's characterisation: a cover moves one box from row i to a
     row j > i with j = i + 1 or rows[i] = rows[j] + 2, and the result must
     still be a partition.  So i ends its block of equal rows, and j is
     either the next row, when it is at least 2 shorter, or the first row
     past a block of length rows[i] - 1, when it has length rows[i] - 2.
+
+    Each i gives at most one cover, and i walks from the last row up, so
+    the covers come in enumeration (reverse-lex) order: a later i leaves a
+    longer prefix of rows unchanged, so its cover is lex larger.
     """
-    for i in range(len(rows) - 1):
+    rows = lam + (0,)  # a box may move to a new last row
+    for i in range(len(rows) - 2, -1, -1):
         a = rows[i]
-        if a == 0:
-            break
         if rows[i + 1] == a:
             continue
         j = i + 1
@@ -216,12 +219,6 @@ def _lower_covers(rows: tuple[int, ...]):
         yield tuple(p for p in moved if p)
 
 
-def _cover_indices(n: int, index: dict[Partition, int]) -> list[list[int]]:
-    """Per partition of n, in index order, the sorted indices of its covers."""
-    return [sorted(index[mu] for mu in _lower_covers(lam + (0,) * (n - len(lam))))
-            for lam in index]
-
-
 @lru_cache(maxsize=None)
 def _table(n: int) -> SimpleNamespace:
     """Everything the pair and triple loops need about P(n), by index.
@@ -231,20 +228,20 @@ def _table(n: int) -> SimpleNamespace:
     weight its column weight and row_weight the column weight of its
     dual.  suffix holds the suffix sums of its zero-padded dual: entry k
     counts the boxes in columns k+1 onwards.  below is the bitmask of
-    every index it dominates, itself included.
+    every index it dominates, itself included, closed from the last index
+    up over the _lower_covers walk: reverse-lex order is a linear extension
+    of dominance, so every cover of parts[i] sits at a larger index and its
+    mask is already closed.
     """
     parts = _partitions(n)
     index = {p: i for i, p in enumerate(parts)}
     dual_index = tuple(index[dual(p)] for p in parts)
     weight = tuple(_column_weight(p) for p in parts)
-    covers = _cover_indices(n, index)
-    # Reverse-lex order is a linear extension of dominance, so every cover
-    # of parts[i] sits at a larger index and its mask is already closed.
     below = [0] * len(parts)
     for i in reversed(range(len(parts))):
         mask = 1 << i
-        for j in covers[i]:
-            mask |= below[j]
+        for mu in _lower_covers(parts[i]):
+            mask |= below[index[mu]]
         below[i] = mask
     padded = tuple(p + (0,) * (n - len(p)) for p in parts)
     return SimpleNamespace(
@@ -282,8 +279,7 @@ def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:
     """Covering pairs (lam, mu) of the dominance order on partitions of n.
 
     Generated directly from Brylawski's characterisation of covers, with
-    lam in enumeration order and its covers mu in enumeration order.
+    lam in enumeration order and its covers mu in enumeration order: the
+    walk of _lower_covers yields them in that order, so nothing is sorted.
     """
-    parts = enumerate_partitions(n)
-    index = {p: i for i, p in enumerate(parts)}
-    return [(lam, parts[j]) for lam, cov in zip(parts, _cover_indices(n, index)) for j in cov]
+    return [(lam, mu) for lam in enumerate_partitions(n) for mu in _lower_covers(lam)]

@@ -221,6 +221,15 @@ class TestStatistics:
         assert delta_stat(parse_diagram("ababa/a")) == 0
 
 
+@pytest.mark.parametrize("call", [enumerate_all_diagrams, enumerate_ortho,
+                                  lambda na, nb: aug_any((), na, nb)],
+                         ids=["enumerate_all_diagrams", "enumerate_ortho", "aug_any"])
+@pytest.mark.parametrize("na, nb", [(-1, 0), (0, -1), (2, -3)])
+def test_negative_letter_count_rejected(call, na, nb):
+    with pytest.raises(ValueError, match="^letter counts must be nonnegative$"):
+        call(na, nb)
+
+
 class TestEnumerateOrtho:
     def test_examples(self):
         assert {format_diagram(d) for d in enumerate_ortho(3, 1)} == {"aba/a", "a/a/a/b"}

@@ -198,6 +198,17 @@ class TestPoset:
         assert out.count("[shape=") == 3
         assert out.startswith("digraph")
 
+    def test_text_edge_lines(self, capsys):
+        code, out, _ = run(capsys, "poset", "6")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "dominance order on partitions of 6: 11 nodes, 12 edges"
+        edges = [f"  {format_partition(lam)} > {format_partition(mu)}"
+                 for lam, mu in dominance_covers(6)]
+        assert lines[12:] == edges
+        # (4,2) covers (4,1,1) and (3,3), in enumeration order
+        assert edges[2:4] == ["  4,2 > 4,1,1", "  4,2 > 3,3"]
+
     def test_single_node(self, capsys):
         code, out, _ = run(capsys, "poset", "1")
         assert code == 0
@@ -246,7 +257,7 @@ class TestPoset:
         assert [node["partition"] for node in payload["nodes"]] == expected
 
     def test_bounds(self, capsys):
-        assert run(capsys, "poset", "21")[0] == 2
+        assert run(capsys, "poset", "41")[0] == 2
         assert run(capsys, "poset", "0")[0] == 2
 
 

@@ -182,6 +182,33 @@ class TestTauZero:
         for lam in partitions_upto(9):
             assert is_valid_tau_string(tau_zero(lam), strata_spec(lam))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^the empty partition has no stratum data$"):
+            tau_zero(())
+        with pytest.raises(ValueError, match="^empty stratum label$"):
+            orbit_partition(())
+
+
+class TestInvalidLabels:
+    # (2, 1) has t = 2 and dims (3, 1, 0): its labels are aba/a, a
+    # and a/a/a/b, a
+    spec = strata_spec((2, 1))
+
+    def test_wrong_column_count(self):
+        assert not is_valid_tau_string(tau("aba/a"), self.spec)
+        assert not is_valid_tau_string(tau("aba/a", "a", ""), self.spec)
+
+    def test_wrong_letter_counts(self):
+        assert not is_valid_tau_string(tau("aba/a/a", "a"), self.spec)  # 4 a's in column 1
+        assert not is_valid_tau_string(tau("aba/a", "a/b"), self.spec)  # a b in the last column
+        assert not is_valid_tau_string(tau("a/a/a/b", "a/a"), self.spec)
+
+    def test_not_ortho_symmetric(self):
+        diagram = parse_diagram("ab/a/a")
+        assert (a_count(diagram), b_count(diagram)) == (3, 1)
+        assert not is_ortho_symmetric(diagram)
+        assert not is_valid_tau_string((diagram, parse_diagram("a")), self.spec)
+
 
 class TestEnumerateLambda:
     def test_exact_sets(self):
@@ -399,6 +426,10 @@ class TestSigmaZero:
     def test_rejects_too_wide(self):
         with pytest.raises(ValueError):
             sigma_zero((3, 1), 2)
+
+    def test_rejects_negative_column_count(self):
+        with pytest.raises(ValueError, match="^column count must be nonnegative$"):
+            sigma_zero((), -1)
 
     def test_odd_row_sums(self):
         for lam in partitions_upto(8):

@@ -13,6 +13,7 @@ from symorbit import abdiagrams, partitions, strata
 from symorbit.partitions import enumerate_partitions, s_step
 from symorbit.verify import (
     SUITES,
+    StrataCheck,
     check_ci_condition,
     check_normality_gap,
     is_normal,
@@ -76,6 +77,41 @@ class TestIsNormal:
         assert v.gap_certificate is None and not v.normal
 
 
+def _distinct_part_counts(n_max):
+    """q(n) for n <= n_max, the partitions of n into distinct parts, read
+    off the product of (1 + x^k) over k = 1..n_max."""
+    q = [1] + [0] * n_max
+    for k in range(1, n_max + 1):
+        for n in range(n_max, k - 1, -1):
+            q[n] += q[n - k]
+    return q
+
+
+class TestDecisionRuleAgainstGaps:
+    def test_normal_iff_gap_at_least_two(self):
+        """Observed for every 1 <= |lam| <= 12: the 1-step verdict agrees with
+        the stratum gaps, which the column fold computes independently of
+        the step test; lam is normal exactly when every other stratum sits
+        at least 2 below the top one, and a non-normal lam has a gap <= 1.
+        The normal partitions of n are the transposes of the partitions of
+        n into distinct parts, so there are q(n) of them."""
+        q = _distinct_part_counts(12)
+        assert q[1:] == [1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
+        for n in range(1, 13):
+            normal = 0
+            for lam in enumerate_partitions(n):
+                gap = minimum_stratum_gap(lam, n)
+                verdict = is_normal(lam).normal
+                normal += verdict
+                if lam == (1,) * n:
+                    assert gap is None and verdict
+                    continue
+                assert gap is not None, lam
+                assert verdict == (gap >= 2), (lam, gap)
+                assert verdict or gap <= 1, (lam, gap)
+            assert normal == q[n], n
+
+
 class TestMinimumGap:
     def test_values(self):
         assert minimum_stratum_gap((2, 1)) == 2
@@ -103,6 +139,17 @@ class TestCiCondition:
         result = check_ci_condition((4, 1))
         assert result.status == "skipped"
         assert "2-step" in result.reason
+
+    def test_skips_empty_partition(self):
+        result = check_ci_condition(())
+        assert (result.status, result.reason) == ("skipped", "empty partition")
+        assert (result.instances, result.min_gap, result.counterexamples) == (0, None, [])
+        assert result.ok
+
+    def test_ok_is_not_failed(self):
+        assert check_ci_condition((2, 1)).ok and check_ci_condition((4, 1)).ok
+        failed = StrataCheck((2,), "failed", None, 1, Fraction(0), [{"mu": [1, 1]}])
+        assert not failed.ok
 
     def test_strict_for_all_two_step(self):
         for n in range(1, 9):
@@ -135,6 +182,12 @@ class TestNormalityGap:
         result = check_normality_gap((3, 1))
         assert result.status == "skipped"
 
+    def test_skips_empty_partition(self):
+        result = check_normality_gap(())
+        assert (result.status, result.reason) == ("skipped", "empty partition")
+        assert (result.instances, result.min_gap, result.cases) == (0, None, None)
+        assert result.ok
+
     def test_gap_at_least_two_for_all_one_step(self):
         for n in range(1, 9):
             for lam in enumerate_partitions(n):
@@ -155,6 +208,11 @@ class TestRunSuite:
             run_suite("comb_big", 10)
         with pytest.raises(ValueError):
             run_suite("diff_ind", 13)
+
+    def test_negative_n_max(self):
+        for lemma_id in ("diff_ind", "comb_big"):
+            with pytest.raises(ValueError, match="^n_max must be nonnegative$"):
+                run_suite(lemma_id, -1)
 
     def test_all_suites_pass_small(self):
         for lemma_id in SUITES:
