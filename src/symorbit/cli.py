@@ -18,6 +18,7 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     parse_partition,
+    s_step,
 )
 from .strata import dim_orbit, lambda_bound, strata_report
 
@@ -110,7 +111,7 @@ def _poset_data(n: int) -> tuple[list[dict], list[tuple[str, str]]]:
     nodes = [
         {
             "partition": name,
-            "normal": verify.is_normal(lam).normal,
+            "normal": s_step(lam, 1),
             "dim_orbit": int(dim_orbit(lam)),
         }
         for lam, name in names.items()

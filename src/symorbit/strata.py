@@ -217,59 +217,51 @@ _Edge = tuple[ab.Diagram, int, Partition, Partition]  # (diagram, weight4, a-, b
 
 
 @lru_cache(maxsize=None)
-def _edges(na: int, nb: int) -> dict[Partition | None, tuple[_Edge, ...]]:
-    """The ortho-symmetric diagrams with na a's and nb b's as fold edges.
+def _edges(na: int, nb: int) -> tuple[_Edge, ...]:
+    """The ortho-symmetric diagrams with na a's and nb b's as fold edges,
+    in enumerate_ortho order.
 
     One key-ordered pass (ab._ortho) yields each diagram with its weight4,
-    a-partition and b-partition.  Edges are grouped by the a-partition,
-    each group in enumerate_ortho order; the key None holds every edge in
-    that order, for the first column.
+    a-partition and b-partition; equal partitions share one tuple, as the
+    cached tables hold many edges per partition.
     """
-    every = tuple(ab._ortho(na, nb))
-    groups: dict[Partition | None, list[_Edge]] = {None: every}
-    for edge in every:
-        groups.setdefault(edge[2], []).append(edge)
-    return {key: tuple(val) for key, val in groups.items()}
+    shared: dict[Partition, Partition] = {}
+    return tuple((diagram, weight4, shared.setdefault(a_part, a_part),
+                  shared.setdefault(b_part, b_part))
+                 for diagram, weight4, a_part, b_part in ab._ortho(na, nb))
 
 
-def _fold(dims: tuple[int, ...], leaf, step):
+def _fold(dims: tuple[int, ...], leaf, step) -> dict:
     """Fold the stratum labels over the dimension vector dims, column by
-    column from the last to the first.
+    column from the last to the first; returns the first column's values.
 
-    A state is a column with the a-partition its diagram must have.  Its
-    value is step(edges, below): edges are the state's edges in
-    enumerate_ortho order, below maps each state of the next column that
-    has a value to that value, and step returns None when no edge leads
-    on to one.  Past the last column the b-partition is empty and the
-    value is leaf.  The first column is left to the caller: yields
-    (orbit, diagram, weight4, value of the next state) per first-column
-    edge whose b-partition has a value, in edge order, the orbit being
-    that edge's a-partition.
+    A column's values map each a-partition its diagram may have to a
+    value: step(edges, below) with the column's edges in enumerate_ortho
+    order and below the next column's values, keyed by b-partition.  A
+    step keys an a-partition at its first edge that leads on to a value
+    and leaves out the a-partitions with no such edge.  Past the last
+    column the b-partition is empty and the value is leaf.  The first
+    column's keys are the orbits, in the order of their first label.
     """
     values = {(): leaf}
-    for i in range(len(dims) - 2, 0, -1):
-        below = values
-        values = {}
-        for required, edges in _edges(dims[i], dims[i + 1]).items():
-            if required is not None:
-                value = step(edges, below)
-                if value is not None:
-                    values[required] = value
-    for diagram, weight4, a_part, b_part in _edges(dims[0], dims[1])[None]:
-        value = values.get(b_part)
-        if value is not None:
-            yield a_part, diagram, weight4, value
+    for i in range(len(dims) - 2, -1, -1):
+        values = step(_edges(dims[i], dims[i + 1]), values)
+    return values
 
 
 def _listing(extend):
-    """A fold step listing a state's label suffixes: extend(diagram,
-    weight4, suffixes of the next state) per edge, joined in edge order."""
+    """A fold step listing label suffixes: per a-partition, extend(diagram,
+    weight4, suffixes of the next column) per edge, joined in edge order."""
     def step(edges, below):
-        suffixes = []
-        for diagram, weight4, _, b_part in edges:
-            if b_part in below:
-                suffixes.extend(extend(diagram, weight4, below[b_part]))
-        return suffixes or None
+        values = {}
+        for diagram, weight4, a_part, b_part in edges:
+            suffixes = below.get(b_part)
+            if suffixes is not None:
+                listed = values.get(a_part)
+                if listed is None:
+                    values[a_part] = listed = []
+                listed.extend(extend(diagram, weight4, suffixes))
+        return values
 
     return step
 
@@ -294,13 +286,16 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
     Candidates per column come from the ortho-symmetric enumeration at the
     right letter counts, filtered by the chaining condition; the label
     fold builds each column's suffixes once per required a-partition,
-    from the last column to the first.  The maximal-rank label always
-    appears exactly once.  Partitions with more labels than the
-    label budget are refused before any label is built.
+    from the last column to the second, and the first column's edges,
+    whose orbits interleave, prefix them in order.  The maximal-rank
+    label always appears exactly once.  Partitions with more labels than
+    the label budget are refused before any label is built.
     """
     _check_labels(lam, bound)
-    labels = _fold(strata_spec(lam).dims, [()], _listing(_prepend))
-    return [(diagram,) + tail for _, diagram, _, tails in labels for tail in tails]
+    dims = strata_spec(lam).dims
+    tails = _fold(dims[1:], [()], _listing(_prepend))
+    return [(diagram,) + tail for diagram, _, _, b_part in _edges(dims[0], dims[1])
+            for tail in tails.get(b_part, ())]
 
 
 @dataclass(frozen=True)
@@ -313,17 +308,20 @@ class OrbitSummary:
 
 
 def _extremes(edges, below):
-    """A state's (largest weight4, label count) over its edges, or None."""
-    top = None
-    count = 0
-    for _, weight4, _, b_part in edges:
+    """A fold step: per a-partition, [largest weight4, label count]."""
+    values = {}
+    for _, weight4, a_part, b_part in edges:
         sub = below.get(b_part)
         if sub is not None:
             weight4 += sub[0]
-            if top is None or weight4 > top:
-                top = weight4
-            count += sub[1]
-    return None if top is None else (top, count)
+            value = values.get(a_part)
+            if value is None:
+                values[a_part] = [weight4, sub[1]]
+            else:
+                if weight4 > value[0]:
+                    value[0] = weight4
+                value[1] += sub[1]
+    return values
 
 
 def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, OrbitSummary]:
@@ -346,30 +344,22 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
             f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
         )
     dims = strata_spec(lam).dims
-    extremes: dict[Partition, list[int]] = {}
-    for mu, _, weight4, (top, count) in _fold(dims, (0, 1), _extremes):
-        weight4 += top
-        orbit = extremes.get(mu)
-        if orbit is None:
-            extremes[mu] = [weight4, count]
-        else:
-            if weight4 > orbit[0]:
-                orbit[0] = weight4
-            orbit[1] += count
     bulk4 = _bulk4(dims)
     return {mu: OrbitSummary(_orbit2(mu) + bulk4 + top, count)
-            for mu, (top, count) in extremes.items()}
+            for mu, (top, count) in _fold(dims, (0, 1), _extremes).items()}
 
 
 def _first_best(edges, below):
-    """A state's largest weight4 with the first suffix attaining it."""
-    best = None
-    for diagram, weight4, _, b_part in edges:
+    """A fold step: per a-partition, the largest weight4 with the first
+    suffix attaining it."""
+    values = {}
+    for diagram, weight4, a_part, b_part in edges:
         if b_part in below:
             top, tail = below[b_part]
+            best = values.get(a_part)
             if best is None or weight4 + top > best[0]:
-                best = (weight4 + top, (diagram,) + tail)
-    return best
+                values[a_part] = (weight4 + top, (diagram,) + tail)
+    return values
 
 
 @lru_cache(maxsize=1)
@@ -378,15 +368,12 @@ def _witnesses(lam: Partition) -> dict[Partition, TauString]:
     attains the orbit's maximal stratum dimension.
 
     The extremes fold again, with values of (largest weight4, first suffix
-    attaining it), so a state keeps its first maximal edge, as the first
-    label wins ties.  Only a counterexample record reads a witness, so it
-    is rebuilt on demand, once for the lam last asked for; lam must be
-    one that orbit_extremes accepts.
+    attaining it), so each a-partition keeps its first maximal edge, as
+    the first label wins ties.  Only a counterexample record reads a
+    witness, so it is rebuilt on demand, once for the lam last asked for;
+    lam must be one that orbit_extremes accepts.
     """
-    firsts: dict[Partition, tuple[int, TauString]] = {}
-    for mu, diagram, weight4, (top, tail) in _fold(strata_spec(lam).dims, (0, ()), _first_best):
-        if mu not in firsts or weight4 + top > firsts[mu][0]:
-            firsts[mu] = (weight4 + top, (diagram,) + tail)
+    firsts = _fold(strata_spec(lam).dims, (0, ()), _first_best)
     return {mu: label for mu, (_, label) in firsts.items()}
 
 
@@ -398,19 +385,23 @@ def _texts(diagram, weight4, suffixes):
 def strata_report(lam: Partition, bound: int | None = None) -> dict:
     """JSON-ready stratum table; dimensions travel as numerators over 4.
 
-    The rows come from the label fold, in enumerate_lambda order: each
-    suffix carries its diagrams' text and the sum of their weight4, and
-    a row's dimension is its orbit's _orbit2, the bulk of lam and that
-    sum.  It refuses the partitions that enumerate_lambda refuses.
+    The rows come from the label fold, in enumerate_lambda order (the
+    fold stops at the second column, as there): each suffix carries its
+    diagrams' text and the sum of their weight4, and a row's dimension
+    is its orbit's _orbit2, the bulk of lam and that sum.  It refuses
+    the partitions that enumerate_lambda refuses.
     """
     spec = strata_spec(lam)
     _check_labels(lam, bound)
-    bulk4 = _bulk4(spec.dims)
+    dims = spec.dims
+    bulk4 = _bulk4(dims)
+    tails = _fold(dims[1:], [((), 0)], _listing(_texts))
     rows = []
-    for mu, diagram, weight4, suffixes in _fold(spec.dims, [((), 0)], _listing(_texts)):
-        base4 = _orbit2(mu) + bulk4
-        rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + sum4}
-                    for texts, sum4 in _texts(diagram, weight4, suffixes))
+    for diagram, weight4, mu, b_part in _edges(dims[0], dims[1]):
+        if b_part in tails:
+            base4 = _orbit2(mu) + bulk4
+            rows.extend({"tau": list(texts), "mu": list(mu), "dim_num4": base4 + sum4}
+                        for texts, sum4 in _texts(diagram, weight4, tails[b_part]))
     dn = dim_N(lam)
     if dn.denominator != 1:
         raise AssertionError("dim N should always be integral")

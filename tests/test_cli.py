@@ -189,6 +189,26 @@ class TestVerify:
         assert code_json == 1
         assert not json.loads(out_json)[0]["ok"]
 
+    def test_full_counterexamples(self, capsys, monkeypatch):
+        import symorbit.verify as verify_module
+
+        # q raised to c + 1 on every strict pair: one "c < q" record each
+        qcr = verify_module._qcr
+        monkeypatch.setattr(verify_module, "_qcr", lambda table, i, j: (
+            qcr(table, i, j)[1] + (i != j), *qcr(table, i, j)[1:]))
+        argv = ("verify", "qcr_identities", "--max-n", "8", "--format", "json")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        [capped] = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--full-counterexamples")
+        assert code == 1
+        [full] = json.loads(out)
+        assert len(full["counterexamples"]) == 405
+        assert "extras" not in full
+        assert capped["counterexamples"] == full["counterexamples"][:10]
+        assert capped["extras"] == {"counterexamples_total": 405}
+        assert capped["instances_checked"] == full["instances_checked"] == 3207
+
 
 class TestPoset:
     def test_dot_chain(self, capsys):

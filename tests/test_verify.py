@@ -188,6 +188,19 @@ class TestNormalityGap:
         assert (result.instances, result.min_gap, result.cases) == (0, None, None)
         assert result.ok
 
+    def test_uncovered_case_is_recorded(self, monkeypatch):
+        # c >= q makes the three routes exhaustive; a (q, c) fitting none
+        # is a counterexample, with its orbit's first worst label
+        monkeypatch.setattr(verify, "diff_stats",
+                            lambda lam, mu: partitions.DiffStats(q=2, c=1, r=3))
+        result = check_normality_gap((2, 1))
+        assert (result.status, result.instances, result.min_gap) == ("failed", 1, 2)
+        assert (result.cases, result.flagged) == ({"uncovered": 1}, [])
+        assert result.counterexamples == [{
+            "lambda": [2, 1], "tau": ["a/a/a/b", "a"], "mu": [1, 1, 1], "gap_num4": 8,
+            "problem": "case coverage", "q": 2, "c": 1, "r": 3,
+        }]
+
     def test_gap_at_least_two_for_all_one_step(self):
         for n in range(1, 9):
             for lam in enumerate_partitions(n):
@@ -221,6 +234,19 @@ class TestRunSuite:
             assert report.instances_checked > 0
             assert report.n_range[1] == 6
             assert (report.instances_checked, report.extras) == PINNED_AT_6[lemma_id]
+
+    def test_qcr_c_below_q_recorded(self, monkeypatch):
+        # q raised to c + 1 on every strict pair: "c < q" is the only record
+        qcr = verify._qcr
+        monkeypatch.setattr(verify, "_qcr", lambda table, i, j: (
+            qcr(table, i, j)[1] + (i != j), *qcr(table, i, j)[1:]))
+        report = run_suite("qcr_identities", 3)
+        assert report.counterexamples == [
+            {"lambda": [2], "mu": [1, 1], "problem": "c < q"},
+            {"lambda": [3], "mu": [2, 1], "problem": "c < q"},
+            {"lambda": [3], "mu": [1, 1, 1], "problem": "c < q"},
+            {"lambda": [2, 1], "mu": [1, 1, 1], "problem": "c < q"},
+        ]
 
     def test_known_instance_counts(self):
         # all alternating-row multisets with at most 8 letters
