@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 from . import abdiagrams as ab
-from .partitions import Partition, check_partition, dominates, dual
+from .partitions import Partition, _partitions, check_partition, dominates, dual
 
 TauString = tuple[ab.Diagram, ...]
 
@@ -234,6 +234,8 @@ def _edges(na: int, nb: int) -> tuple[_Edge, ...]:
 def _fold(dims: tuple[int, ...], leaf, step) -> dict:
     """Fold the stratum labels over the dimension vector dims, column by
     column from the last to the first; returns the first column's values.
+    It serves the listing, label-count and witness steps over the flat
+    edge tables; orbit_extremes folds the pair tables instead (_raw).
 
     A column's values map each a-partition its diagram may have to a
     value: step(edges, below) with the column's edges in enumerate_ortho
@@ -266,9 +268,36 @@ def _listing(extend):
     return step
 
 
+def _checked(lam: Partition, bound: int | None) -> Partition:
+    """lam as a tuple, refused if it is no partition or exceeds the size bound."""
+    lam = check_partition(lam)
+    limit = lambda_bound(bound)
+    if sum(lam) > limit:
+        raise ValueError(
+            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
+            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
+        )
+    return lam
+
+
+def _count(edges, below):
+    """A fold step: per a-partition, its label count."""
+    values = {}
+    for _, _, a_part, b_part in edges:
+        sub = below.get(b_part)
+        if sub is not None:
+            values[a_part] = values.get(a_part, 0) + sub
+    return values
+
+
 def _check_labels(lam: Partition, bound: int | None) -> None:
-    """Refuse lam as orbit_extremes does, or for more labels than the budget."""
-    count = sum(summary.count for summary in orbit_extremes(lam, bound).values())
+    """Refuse lam as orbit_extremes does, or for more labels than the budget.
+
+    The count folds the same flat edge tables that the listing then
+    walks, so a listing call builds each column's diagrams once.
+    """
+    lam = _checked(lam, bound)
+    count = sum(_fold(strata_spec(lam).dims, 1, _count).values())
     if count > _LABEL_BUDGET:
         raise ValueError(
             f"lambda = {lam} has {count} stratum labels, more than the"
@@ -307,20 +336,66 @@ class OrbitSummary:
     count: int
 
 
-def _extremes(edges, below):
-    """A fold step: per a-partition, [largest weight4, label count]."""
-    values = {}
-    for _, weight4, a_part, b_part in edges:
-        sub = below.get(b_part)
+_Pair = tuple[int, int, int, int]  # (a-index, b-index, largest weight4, multiplicity)
+
+
+@lru_cache(maxsize=None)
+def _index(n: int) -> dict[Partition, int]:
+    """Each partition of n by its position in _partitions(n)."""
+    return {part: i for i, part in enumerate(_partitions(n))}
+
+
+@lru_cache(maxsize=None)
+def _pairs(na: int, nb: int) -> tuple[_Pair, ...]:
+    """A column as the extremes need it: the distinct (a-partition,
+    b-partition) pairs of ab._ortho(na, nb), each with the largest weight4
+    and the number of its diagrams, in the order of their first diagram.
+
+    Partitions are replaced by their _index positions, so a fold step
+    hashes small ints.  ab._ortho is looked up at call time, so a patched
+    walk reaches this table as it reaches _edges.
+    """
+    pairs: dict[tuple[Partition, Partition], list[int]] = {}
+    for _, weight4, a_part, b_part in ab._ortho(na, nb):
+        pair = pairs.get((a_part, b_part))
+        if pair is None:
+            pairs[a_part, b_part] = [weight4, 1]
+        else:
+            if weight4 > pair[0]:
+                pair[0] = weight4
+            pair[1] += 1
+    a_index, b_index = _index(na), _index(nb)
+    return tuple((a_index[a_part], b_index[b_part], top, mult)
+                 for (a_part, b_part), (top, mult) in pairs.items())
+
+
+@lru_cache(maxsize=None)
+def _raw(lam: Partition) -> dict[int, list[int]]:
+    """The extremes fold of lam: per a-partition index of its first column,
+    [largest summed weight4, label count], keyed at the first pair that
+    leads on, so the keys are the orbits in the order of their first label.
+
+    Columns 1..t-1 of lam are the columns of lam with its first column
+    removed, so one step over _pairs applied to that partition's cached
+    values suffices; past the last column is the empty partition, index 0
+    of the partitions of 0.  Readers must not mutate the values.
+    """
+    if not lam:
+        return {0: [0, 1]}
+    shorter = tuple(p - 1 for p in lam if p > 1)
+    below = _raw(shorter)
+    values: dict[int, list[int]] = {}
+    for a, b, top, mult in _pairs(sum(lam), sum(shorter)):
+        sub = below.get(b)
         if sub is not None:
-            weight4 += sub[0]
-            value = values.get(a_part)
+            top += sub[0]
+            value = values.get(a)
             if value is None:
-                values[a_part] = [weight4, sub[1]]
+                values[a] = [top, mult * sub[1]]
             else:
-                if weight4 > value[0]:
-                    value[0] = weight4
-                value[1] += sub[1]
+                if top > value[0]:
+                    value[0] = top
+                value[1] += mult * sub[1]
     return values
 
 
@@ -328,25 +403,23 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     """Per orbit: label count and maximal stratum dimension.
 
     The dimension formula is additive over columns once the orbit is
-    fixed, so the maximum and the count are computed by the label fold,
-    whose value per column and required a-partition is (largest weight4,
-    count) and carries no label, from the last column to the first,
+    fixed, so the maximum and the count are computed by a fold whose
+    value per column and required a-partition is (largest weight4,
+    count) and carries no label (_raw, memoised per lam over _pairs),
     instead of walking every label; the label spaces grow far too fast
     for that.  Orbits appear in the order of their first label;
-    _witnesses rebuilds a maximal label where one is needed.  It is the
-    fold entry that validates lam and applies the size bound.
+    _witnesses rebuilds a maximal label where one is needed.  It
+    validates lam and applies the size bound as enumerate_lambda does.
     """
-    lam = check_partition(lam)
-    limit = lambda_bound(bound)
-    if sum(lam) > limit:
-        raise ValueError(
-            f"|lambda| = {sum(lam)} exceeds the enumeration bound {limit}"
-            f" (override with an explicit bound or {LAMBDA_BOUND_ENV})"
-        )
+    lam = _checked(lam, bound)
     dims = strata_spec(lam).dims
     bulk4 = _bulk4(dims)
-    return {mu: OrbitSummary(_orbit2(mu) + bulk4 + top, count)
-            for mu, (top, count) in _fold(dims, (0, 1), _extremes).items()}
+    parts = _partitions(dims[0])
+    summaries = {}
+    for i, (top, count) in _raw(lam).items():
+        mu = parts[i]
+        summaries[mu] = OrbitSummary(_orbit2(mu) + bulk4 + top, count)
+    return summaries
 
 
 def _first_best(edges, below):
@@ -367,11 +440,11 @@ def _witnesses(lam: Partition) -> dict[Partition, TauString]:
     """Per orbit of lam, the first label in enumerate_lambda order that
     attains the orbit's maximal stratum dimension.
 
-    The extremes fold again, with values of (largest weight4, first suffix
-    attaining it), so each a-partition keeps its first maximal edge, as
-    the first label wins ties.  Only a counterexample record reads a
-    witness, so it is rebuilt on demand, once for the lam last asked for;
-    lam must be one that orbit_extremes accepts.
+    The label fold over the flat edges, with values of (largest weight4,
+    first suffix attaining it), so each a-partition keeps its first
+    maximal edge, as the first label wins ties.  Only a counterexample
+    record reads a witness, so it is rebuilt on demand, once for the lam
+    last asked for; lam must be one that orbit_extremes accepts.
     """
     firsts = _fold(strata_spec(lam).dims, (0, ()), _first_best)
     return {mu: label for mu, (_, label) in firsts.items()}

@@ -21,6 +21,7 @@ from symorbit.partitions import dominates, dual, enumerate_below, enumerate_part
 from symorbit.strata import (
     _LABEL_BUDGET,
     _edges,
+    _pairs,
     _witnesses,
     d_lists,
     dim_M,
@@ -276,6 +277,24 @@ class TestEdges:
                 total += len(expected)
         assert total == 10535
 
+    def test_pairs_regroup_edges(self):
+        # the extremes' table is the flat edge table grouped by (a, b), in
+        # first-edge order, with each group's largest weight4 and size
+        total = 0
+        for letters in range(21):
+            for na in range(letters + 1):
+                nb = letters - na
+                expected = {}
+                for _, weight4, a_part, b_part in _edges(na, nb):
+                    top, mult = expected.get((a_part, b_part), (weight4, 0))
+                    expected[a_part, b_part] = (max(top, weight4), mult + 1)
+                a_parts, b_parts = enumerate_partitions(na), enumerate_partitions(nb)
+                got = [((a_parts[a], b_parts[b]), (top, mult))
+                       for a, b, top, mult in _pairs(na, nb)]
+                assert got == list(expected.items())
+                total += sum(mult for *_, mult in _pairs(na, nb))
+        assert total == 10535
+
 
 class TestLambdaBound:
     def test_default_and_precedence(self, monkeypatch):
@@ -521,6 +540,11 @@ class TestOrbitExtremes:
         for lam in partitions_upto(7):
             total = sum(s.count for s in orbit_extremes(lam).values())
             assert total == len(enumerate_lambda(lam))
+
+    def test_orbits_in_first_label_order(self):
+        for lam in partitions_upto(7):
+            firsts = dict.fromkeys(orbit_partition(label) for label in enumerate_lambda(lam))
+            assert list(orbit_extremes(lam)) == list(firsts)
 
     def test_top_orbit_is_tau_zero(self):
         for lam in partitions_upto(7):

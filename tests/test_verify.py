@@ -481,6 +481,35 @@ def _clear_caches():
                 obj.cache_clear()
 
 
+
+class TestExtremesMemo:
+    """orbit_extremes is memoised per lam across calls, so the memo must
+    not depend on the order of the calls and must be cleared with the
+    other caches, or it would hide a planted fault."""
+
+    def test_order_independent(self):
+        lams = [lam for n in range(1, 13) for lam in enumerate_partitions(n)]
+
+        def extremes(order):
+            _clear_caches()
+            return {lam: strata.orbit_extremes(lam, 12) for lam in order}
+
+        try:
+            largest_first = extremes(lams[::-1])
+            smallest_first = extremes(lams)
+        finally:
+            _clear_caches()
+        for lam in lams:
+            assert list(largest_first[lam].items()) == list(smallest_first[lam].items())
+
+    def test_cleared_by_clear_caches(self):
+        caches = (strata._index, strata._pairs, strata._raw)
+        _clear_caches()
+        run_all(5)
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
+        _clear_caches()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+
 def _reverse_odd_chains(monkeypatch):
     degeneration_chain = verify.degeneration_chain
 
