@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import INFINITY, encode_basestring_ascii
 
 from . import verify
 from .partitions import (
@@ -25,8 +26,86 @@ from .strata import dim_orbit, lambda_bound, strata_report
 POSET_BOUND = 40
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == INFINITY:
+        return "Infinity"
+    if value == -INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the JSON text of each scalar type, spelled as json.dumps spells it
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _encode(obj, pad: str) -> str:
+    """The JSON text of obj as json.dumps(sort_keys=True, indent=2) writes
+    it, with pad as the indentation of the line it starts on."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        texts = [
+            encode_basestring_ascii(key) + ": "
+            + (scalar(value) if (scalar := _SCALARS.get(type(value))) else _encode(value, inner))
+            for key, value in sorted(obj.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        # a list of one scalar type, such as a row's parts or its diagrams,
+        # is one map over a C function
+        kinds = set(map(type, obj))
+        if len(kinds) == 1 and (scalar := _SCALARS.get(kinds.pop())):
+            texts = map(scalar, obj)
+        else:
+            texts = [_encode(value, inner) for value in obj]
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+    scalar = _SCALARS.get(kind)
+    if scalar is None:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return scalar(obj)
+
+
+def _stream(obj, pad: str, levels: int, write, lead: str = "") -> None:
+    """Write lead + _encode(obj, pad), the elements of the outer `levels`
+    levels of containers one per write, each led by its separator."""
+    kind = type(obj)
+    if not levels or not obj or kind not in (dict, list, tuple):
+        write(lead + _encode(obj, pad))
+        return
+    inner = pad + "  "
+    if kind is dict:
+        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in sorted(obj.items())]
+        opening, closing = "{", "}"
+    else:
+        items = [("", value) for value in obj]
+        opening, closing = "[", "]"
+    lead += opening + "\n" + inner
+    for head, value in items:
+        _stream(value, inner, levels - 1, write, lead + head)
+        lead = ",\n" + inner
+    write("\n" + pad + closing)
+
+
+def _write_json(obj) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) and a newline to
+    stdout without holding the whole text: one write per element of the
+    two outer levels (a strata row, a poset node or edge, a report field)."""
+    write = sys.stdout.write
+    _stream(obj, "", 2, write)
+    write("\n")
 
 
 def _cmd_normal(args) -> int:
@@ -49,7 +128,7 @@ def _cmd_normal(args) -> int:
             if verdict.gap_certificate is None
             else int(verdict.gap_certificate * 4),
         }
-        print(_dump(payload))
+        _write_json(payload)
         return 0
     if verdict.normal:
         line = "normal"
@@ -65,7 +144,7 @@ def _cmd_strata(args) -> int:
     lam = parse_partition(args.partition)
     report = strata_report(lam)
     if args.format == "json":
-        print(_dump(report))
+        _write_json(report)
         return 0
     print(
         f"lambda={format_partition(lam)}  n={sum(lam)}  t={report['t']}"
@@ -91,7 +170,7 @@ def _cmd_verify(args) -> int:
     else:
         reports = [verify.run_suite(args.lemma, args.max_n, max_counterexamples=cap)]
     if args.format == "json":
-        print(_dump([r.to_dict() for r in reports]))
+        _write_json([r.to_dict() for r in reports])
     else:
         for r in reports:
             status = "ok  " if r.ok else "FAIL"
@@ -126,7 +205,7 @@ def _cmd_poset(args) -> int:
         raise ValueError(f"poset size must be between 1 and {POSET_BOUND}")
     nodes, edges = _poset_data(n)
     if args.format == "json":
-        print(_dump({"n": n, "nodes": nodes, "edges": [list(e) for e in edges]}))
+        _write_json({"n": n, "nodes": nodes, "edges": [list(e) for e in edges]})
         return 0
     if args.format == "dot":
         lines = [f'digraph "dominance_{n}" {{']

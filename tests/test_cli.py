@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
+from symorbit import cli
 from symorbit.cli import main
 from symorbit.partitions import dominance_covers, enumerate_partitions, format_partition
-from symorbit.verify import SUITES
+from symorbit.strata import strata_report
+from symorbit.verify import SUITES, run_all
 
 
 def run(capsys, *argv):
@@ -279,6 +283,69 @@ class TestPoset:
     def test_bounds(self, capsys):
         assert run(capsys, "poset", "41")[0] == 2
         assert run(capsys, "poset", "0")[0] == 2
+
+
+class TestJsonWriter:
+    """The streaming writer against json.dumps(sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def check(capsys, obj):
+        cli._write_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+    def test_strata_reports(self, capsys):
+        for n in range(1, 7):
+            for lam in enumerate_partitions(n):
+                self.check(capsys, strata_report(lam))
+
+    def test_poset_payloads(self, capsys):
+        for n in range(1, 11):
+            nodes, edges = cli._poset_data(n)
+            self.check(capsys, {"n": n, "nodes": nodes, "edges": [list(e) for e in edges]})
+
+    def test_verify_reports(self, capsys):
+        reports = [r.to_dict() for r in run_all(6)]
+        assert all(type(r["elapsed_s"]) is float for r in reports)
+        self.check(capsys, reports)
+
+    def test_hand_made(self, capsys):
+        payload = {
+            "empty": [[], {}, [[]], {"inner": {}}, ()],
+            "nested": {"b": [1, [2, [3, {"c": []}]]], "a": ({"x": None},)},
+            "flags": [True, False, None, 0, -1, 10**30],
+            "text": ["λ", "quote \" slash \\ newline \n tab \t", ""],
+            "floats": [0.1, -0.0, 1e300, math.nan, math.inf, -math.inf],
+            "mixed": [1, "one", 1.0, True, None, [1], {"one": 1}],
+        }
+        self.check(capsys, payload)
+        for scalar in (7, "λ", None, False, 2.5, math.nan, [], {}, ()):
+            self.check(capsys, scalar)
+
+    @pytest.mark.parametrize("obj", [
+        {"dim": Fraction(1, 2)},
+        [1, [Fraction(3)]],
+        {1: "one"},
+        {"row": {(1, 2): 3}},
+    ])
+    def test_unserializable(self, capsys, obj):
+        with pytest.raises(TypeError):
+            cli._write_json(obj)
+
+    def test_streamed_in_small_writes(self, monkeypatch):
+        # one write per row: the whole document is never one string
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+                return len(text)
+
+        monkeypatch.setattr("sys.stdout", Recorder())
+        assert main(["strata", "7", "--format", "json"]) == 0
+        assert len(writes) > 1000
+        assert max(map(len, writes)) <= 4096
+        expected = json.dumps(strata_report((7,)), sort_keys=True, indent=2) + "\n"
+        assert "".join(writes) == expected
 
 
 class TestUsage:

@@ -330,6 +330,12 @@ class TestDimensions:
             pair_min = sum(min(a, b) for a in lam for b in lam)
             assert dim_orbit(lam) == Fraction(n * n - pair_min, 2)
 
+    def test_dim_orbit_column_definition(self):
+        # the row-weighted sum stands for the squared columns of the transpose
+        for lam in partitions_upto(12):
+            n = sum(lam)
+            assert dim_orbit(lam) == Fraction(n * n - sum(c * c for c in dual(lam)), 2)
+
     def test_dim_m_dim_n_examples(self):
         assert (dim_M((2, 1)), dim_N((2, 1))) == (3, 1)
         assert (dim_M((1,)), dim_N((1,))) == (0, 0)
