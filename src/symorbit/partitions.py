@@ -175,6 +175,12 @@ def _partitions(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _index(n: int) -> dict[Partition, int]:
+    """Each partition of n by its position in _partitions(n)."""
+    return {part: i for i, part in enumerate(_partitions(n))}
+
+
 def enumerate_partitions(n: int, bound: int = SIZE_BOUND) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
@@ -234,7 +240,7 @@ def _table(n: int) -> SimpleNamespace:
     mask is already closed.
     """
     parts = _partitions(n)
-    index = {p: i for i, p in enumerate(parts)}
+    index = _index(n)
     dual_index = tuple(index[dual(p)] for p in parts)
     weight = tuple(_column_weight(p) for p in parts)
     below = [0] * len(parts)

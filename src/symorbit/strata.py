@@ -25,7 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, zip_longest
 
 from . import abdiagrams as ab
-from .partitions import Partition, _partitions, check_partition, dominates, dual
+from .partitions import Partition, _index, _partitions, check_partition, dominates, dual
 
 TauString = tuple[ab.Diagram, ...]
 
@@ -34,7 +34,7 @@ LAMBDA_BOUND_ENV = "ORBIT_LAMBDA_BOUND"
 
 # Most labels enumerate_lambda and strata_report will list.  Every
 # partition of 8 fits ((8) has 112,324 labels); the largest table let
-# through, (8,2,1,1) at 229,162 labels, takes 2.7 s and 142 MB as
+# through, (8,2,1,1) at 229,162 labels, takes 2.4 s and 142 MB as
 # `strata --format json` (Python 3.11, 2 vCPUs); (9) has 1,918,225.
 _LABEL_BUDGET = 250_000
 
@@ -238,41 +238,28 @@ def _edges(na: int, nb: int) -> tuple[_Edge, ...]:
                  for diagram, weight4, a_part, b_part in ab._ortho(na, nb))
 
 
-def _fold(dims: tuple[int, ...], leaf, step) -> dict:
-    """Fold the stratum labels over the dimension vector dims, column by
-    column from the last to the first; returns the first column's values.
-    It serves the listing, label-count and witness steps over the flat
-    edge tables; orbit_extremes folds the pair tables instead (_raw).
+def _fold(dims: tuple[int, ...], leaf: list, extend) -> dict[Partition, list]:
+    """List the label suffixes over the dimension vector dims, column by
+    column from the last to the first; returns the first column's lists.
 
-    A column's values map each a-partition its diagram may have to a
-    value: step(edges, below) with the column's edges in enumerate_ortho
-    order and below the next column's values, keyed by b-partition.  A
-    step keys an a-partition at its first edge that leads on to a value
-    and leaves out the a-partitions with no such edge.  Past the last
-    column the b-partition is empty and the value is leaf.  The first
-    column's keys are the orbits, in the order of their first label.
+    A column's lists map each a-partition its diagram may have to the
+    suffixes starting there: extend(diagram, weight4, suffixes) per edge
+    of the column in enumerate_ortho order, with suffixes the next
+    column's list at the edge's b-partition, joined in edge order.  An
+    a-partition is keyed at its first edge that leads on; past the last
+    column the b-partition is empty and the list is leaf.
     """
     values = {(): leaf}
     for i in range(len(dims) - 2, -1, -1):
-        values = step(_edges(dims[i], dims[i + 1]), values)
-    return values
-
-
-def _listing(extend):
-    """A fold step listing label suffixes: per a-partition, extend(diagram,
-    weight4, suffixes of the next column) per edge, joined in edge order."""
-    def step(edges, below):
-        values = {}
-        for diagram, weight4, a_part, b_part in edges:
+        below, values = values, {}
+        for diagram, weight4, a_part, b_part in _edges(dims[i], dims[i + 1]):
             suffixes = below.get(b_part)
             if suffixes is not None:
                 listed = values.get(a_part)
                 if listed is None:
                     values[a_part] = listed = []
                 listed.extend(extend(diagram, weight4, suffixes))
-        return values
-
-    return step
+    return values
 
 
 def _checked(lam: Partition, bound: int | None) -> Partition:
@@ -287,24 +274,14 @@ def _checked(lam: Partition, bound: int | None) -> Partition:
     return lam
 
 
-def _count(edges, below):
-    """A fold step: per a-partition, its label count."""
-    values = {}
-    for _, _, a_part, b_part in edges:
-        sub = below.get(b_part)
-        if sub is not None:
-            values[a_part] = values.get(a_part, 0) + sub
-    return values
-
-
 def _check_labels(lam: Partition, bound: int | None) -> None:
     """Refuse lam as orbit_extremes does, or for more labels than the budget.
 
-    The count folds the same flat edge tables that the listing then
-    walks, so a listing call builds each column's diagrams once.
+    The count is the sum of the extremes memo's counts (_raw), so a
+    refused lam builds no diagram table.
     """
     lam = _checked(lam, bound)
-    count = sum(_fold(strata_spec(lam).dims, 1, _count).values())
+    count = sum(labels for _, labels in _raw(lam).values())
     if count > _LABEL_BUDGET:
         raise ValueError(
             f"lambda = {lam} has {count} stratum labels, more than the"
@@ -329,7 +306,7 @@ def enumerate_lambda(lam: Partition, bound: int | None = None) -> list[TauString
     """
     _check_labels(lam, bound)
     dims = strata_spec(lam).dims
-    tails = _fold(dims[1:], [()], _listing(_prepend))
+    tails = _fold(dims[1:], [()], _prepend)
     return [(diagram,) + tail for diagram, _, _, b_part in _edges(dims[0], dims[1])
             for tail in tails.get(b_part, ())]
 
@@ -344,12 +321,6 @@ class OrbitSummary:
 
 
 _Pair = tuple[int, int, int, int]  # (a-index, b-index, largest weight4, multiplicity)
-
-
-@lru_cache(maxsize=None)
-def _index(n: int) -> dict[Partition, int]:
-    """Each partition of n by its position in _partitions(n)."""
-    return {part: i for i, part in enumerate(_partitions(n))}
 
 
 @lru_cache(maxsize=None)
@@ -429,31 +400,29 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     return summaries
 
 
-def _first_best(edges, below):
-    """A fold step: per a-partition, the largest weight4 with the first
-    suffix attaining it."""
-    values = {}
-    for diagram, weight4, a_part, b_part in edges:
-        if b_part in below:
-            top, tail = below[b_part]
-            best = values.get(a_part)
-            if best is None or weight4 + top > best[0]:
-                values[a_part] = (weight4 + top, (diagram,) + tail)
-    return values
-
-
 @lru_cache(maxsize=1)
 def _witnesses(lam: Partition) -> dict[Partition, TauString]:
     """Per orbit of lam, the first label in enumerate_lambda order that
     attains the orbit's maximal stratum dimension.
 
-    The label fold over the flat edges, with values of (largest weight4,
-    first suffix attaining it), so each a-partition keeps its first
-    maximal edge, as the first label wins ties.  Only a counterexample
-    record reads a witness, so it is rebuilt on demand, once for the lam
-    last asked for; lam must be one that orbit_extremes accepts.
+    The columns are folded over the flat edges as in _fold, with values
+    of (largest weight4, first suffix attaining it), so each a-partition
+    keeps its first maximal edge, as the first label wins ties.  Only a
+    counterexample record reads a witness, so it is rebuilt on demand,
+    once for the lam last asked for; lam must be one that orbit_extremes
+    accepts.
     """
-    firsts = _fold(strata_spec(lam).dims, (0, ()), _first_best)
+    dims = strata_spec(lam).dims
+    firsts = {(): (0, ())}
+    for i in range(len(dims) - 2, -1, -1):
+        below, firsts = firsts, {}
+        for diagram, weight4, a_part, b_part in _edges(dims[i], dims[i + 1]):
+            sub = below.get(b_part)
+            if sub is not None:
+                top = weight4 + sub[0]
+                best = firsts.get(a_part)
+                if best is None or top > best[0]:
+                    firsts[a_part] = (top, (diagram,) + sub[1])
     return {mu: label for mu, (_, label) in firsts.items()}
 
 
@@ -475,7 +444,7 @@ def strata_report(lam: Partition, bound: int | None = None) -> dict:
     _check_labels(lam, bound)
     dims = spec.dims
     bulk4 = _bulk4(dims)
-    tails = _fold(dims[1:], [((), 0)], _listing(_texts))
+    tails = _fold(dims[1:], [((), 0)], _texts)
     rows = []
     for diagram, weight4, mu, b_part in _edges(dims[0], dims[1]):
         if b_part in tails:

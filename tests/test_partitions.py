@@ -8,6 +8,7 @@ import pytest
 from symorbit.partitions import (
     DiffStats,
     _bits,
+    _index,
     _qcr,
     _table,
     check_partition,
@@ -416,6 +417,11 @@ class TestTable:
                 assert table.parts[table.dual[i]] == transpose_oracle(lam)
                 assert table.weight[i] == box_weight_oracle(lam, "column")
                 assert table.row_weight[i] == box_weight_oracle(lam, "row")
+
+    def test_index_is_shared(self):
+        # the pair and triple loops and strata's pair tables read one index
+        for n in range(13):
+            assert _table(n).index is _index(n)
 
     def test_suffix_sums_of_dual(self):
         for n in range(13):

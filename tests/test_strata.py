@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symorbit import abdiagrams, partitions, strata
 from symorbit.abdiagrams import (
     a_count,
     a_partition,
@@ -144,6 +145,34 @@ def forward_extremes(lam):
     return {mu: value for (mu, _), value in states.items()}
 
 
+def reference_witnesses(lam):
+    """_witnesses by a generic driver that applies one fold step per
+    column to the flat edge tables, the step keeping per a-partition the
+    largest weight4 and the first suffix attaining it."""
+    def first_best(edges, below):
+        values = {}
+        for diagram, weight4, a_part, b_part in edges:
+            if b_part in below:
+                top, tail = below[b_part]
+                best = values.get(a_part)
+                if best is None or weight4 + top > best[0]:
+                    values[a_part] = (weight4 + top, (diagram,) + tail)
+        return values
+
+    dims = strata_spec(lam).dims
+    values = {(): (0, ())}
+    for i in range(len(dims) - 2, -1, -1):
+        values = first_best(_edges(dims[i], dims[i + 1]), values)
+    return {mu: label for mu, (_, label) in values.items()}
+
+
+def _clear_caches():
+    for module in (abdiagrams, partitions, strata):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
 class TestStrataSpec:
     def test_examples(self):
         assert strata_spec((3, 1)).t == 3
@@ -256,6 +285,18 @@ class TestEnumerateLambda:
         for call in (enumerate_lambda, strata_report):
             with pytest.raises(ValueError, match="1918225 stratum labels.*bound"):
                 call((9,))
+
+    def test_refusal_builds_no_table(self):
+        # the budget reads the extremes memo's counts, so a refused lam
+        # builds no diagram table
+        _clear_caches()
+        try:
+            for call in (strata_report, enumerate_lambda):
+                with pytest.raises(ValueError, match="1918225 stratum labels.*bound"):
+                    call((9,))
+            assert _edges.cache_info().currsize == 0
+        finally:
+            _clear_caches()
 
 
 class TestEdges:
@@ -530,6 +571,12 @@ class TestOrbitExtremes:
                 assert is_valid_tau_string(witness, spec)
                 assert dim_stratum(witness, spec) == best
         assert checked == 119
+
+    def test_witnesses_match_reference_fold(self):
+        # every lam up to 12, beyond the 119 above that are walked label by
+        # label; orbit order included
+        for lam in partitions_upto(12):
+            assert list(_witnesses(lam).items()) == list(reference_witnesses(lam).items()), lam
 
     def test_matches_forward_transfer(self):
         # a second edge source (all diagrams, filtered) and a forward fold
