@@ -118,6 +118,32 @@ def diff_stats(lam: Partition, mu: Partition) -> DiffStats:
     return DiffStats(q, c, r)
 
 
+def _box_move(cur, target, first: int = 0, j: int = 0) -> tuple[int, int, int] | None:
+    """The next box move of a degeneration chain from cur down to target.
+
+    Returns (first, i, j): first is the first row where cur differs from
+    target, and the box leaves row i, the last row of the block of rows
+    equal to cur[first], for row j, the first row that falls short of
+    target.  None when cur equals target.  target is zero-padded to the
+    width of the chain and cur to one more row.  The scans start at first
+    and j, so a caller may pass the pointers of the previous move or
+    restart them at row 0.
+    """
+    width = len(target)
+    while first < width and cur[first] == target[first]:
+        first += 1
+    if first == width:
+        return None
+    while cur[j] >= target[j]:
+        j += 1
+    i = first
+    while cur[i + 1] == cur[first]:
+        i += 1
+    if i >= j:
+        raise AssertionError("box move would not preserve the partition shape")
+    return first, i, j
+
+
 def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     """Single-box degenerations stepping from lam down to mu.
 
@@ -131,6 +157,9 @@ def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     the target, and a moved box leaves its row at least as long as the
     target's (cur[i] - 1 >= target[i]), so no row ever drops below the
     target again and `j`, the first row that falls short, never moves back.
+    So the move read from the current rows alone, with both scans from row
+    0, is the same: _box_move is the one rule, and _index_chain builds the
+    suites' chains from it as table indices.
     """
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; no degeneration chain exists")
@@ -140,21 +169,12 @@ def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     target = list(mu) + [0] * (width - len(mu))
     chain = [tuple(lam)]
     first = j = 0
-    while True:
-        while first < width and cur[first] == target[first]:
-            first += 1
-        if first == width:
-            return chain
-        while cur[j] >= target[j]:
-            j += 1
-        i = first
-        while cur[i + 1] == cur[first]:
-            i += 1
-        if i >= j:
-            raise AssertionError("box move would not preserve the partition shape")
+    while (move := _box_move(cur, target, first, j)) is not None:
+        first, i, j = move
         cur[i] -= 1
         cur[j] += 1
         chain.append(tuple(cur[:cur.index(0)]))
+    return chain
 
 
 @lru_cache(maxsize=None)
@@ -260,6 +280,40 @@ def _table(n: int) -> SimpleNamespace:
         row_weight=tuple(weight[d] for d in dual_index),
         below=tuple(below),
     )
+
+
+@lru_cache(maxsize=None)
+def _next_steps(n: int) -> memoryview:
+    """The memo of _index_chain for _table(n), read as [a, t]: the index one
+    box move from parts[a] towards parts[t], 0xffff until first used.  One
+    flat buffer of 16-bit entries, as it lasts the process; P(n) has fewer
+    than 0xffff partitions for every n <= 43."""
+    size = len(_partitions(n))
+    return memoryview(bytearray(b"\xff") * (2 * size * size)).cast("H", (size, size))
+
+
+def _index_chain(n: int, i: int, j: int) -> list[int]:
+    """degeneration_chain(parts[i], parts[j]) of _table(n), as indices.
+
+    parts[i] must dominate parts[j].  _box_move reads only the current
+    rows and the target, so the chain from a to t is a followed by the
+    chain from the next step to t: each step (a, t) is computed once,
+    from padded rows, and read from _next_steps(n) after that.
+    """
+    steps = _next_steps(n)
+    path = [i]
+    while i != j:
+        step = steps[i, j]
+        if step == 0xffff:
+            table = _table(n)
+            cur = [*table.padded[i], 0]
+            _, row_out, row_in = _box_move(cur, table.padded[j])
+            cur[row_out] -= 1
+            cur[row_in] += 1
+            step = steps[i, j] = table.index[tuple(cur[:cur.index(0)])]
+        path.append(step)
+        i = step
+    return path
 
 
 def _bits(mask: int):

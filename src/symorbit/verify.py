@@ -31,11 +31,11 @@ from .partitions import (
     Partition,
     _bits,
     _cr,
+    _index_chain,
     _partitions,
     _qcr,
     _table,
     check_partition,
-    degeneration_chain,
     diff_stats,
     s_step,
 )
@@ -269,32 +269,55 @@ def _l1(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     return sum(map(abs, map(sub, a, b)))
 
 
+@lru_cache(maxsize=None)
+def _step_l1(n: int) -> tuple[memoryview, memoryview]:
+    """The memo of _check_diff_ind for _table(n): entry [a, b] of the first
+    (second) grid is the L1 distance between the padded rows (columns) of
+    parts[a] and parts[b], 0xff until first used; no distance exceeds 2n."""
+    size = len(_partitions(n))
+    return tuple(memoryview(bytearray(b"\xff") * (size * size)).cast("B", (size, size))
+                 for _ in range(2))
+
+
 def _check_diff_ind(table, i: int, j: int):
-    lam, mu = table.parts[i], table.parts[j]
-    chain = degeneration_chain(lam, mu)
-    idx = [table.index.get(p) for p in chain]
+    """The chain is _index_chain's path of table indices, built from the
+    padded rows one box move at a time.  Each step's row and column L1 is
+    read from _step_l1, computed from table.padded and table.dual, so the
+    checks measure the path that was built.  A None in the path stands for
+    a partition outside P(n)."""
+    n = len(table.padded[i])
+    path = _index_chain(n, i, j)
     problems = []
-    if chain[0] != lam or chain[-1] != mu:
+    if path[0] != i or path[-1] != j:
         problems.append("endpoints")
-    if len(chain) != _qcr(table, i, j)[0] + 1:
+    if len(path) != _qcr(table, i, j)[0] + 1:
         problems.append("length")
-    if None in idx:  # a step that leaves P(n) fails "step"; no row is tested
-        if len(idx) > 1:
+    if None in path:  # a step that leaves P(n) fails "step"; no row is tested
+        if len(path) > 1:
             problems.append("step")
     else:
         # Every row (column) length is monotone along the chain exactly when
         # the L1 lengths of the steps add up to the L1 distance between the
         # ends.  A step's q is half its L1 length.
-        rows = [table.padded[k] for k in idx]
-        dist = list(map(_l1, rows, rows[1:]))
-        below = table.below
-        if any(d // 2 != 1 or not below[a] >> b & 1
-               for a, b, d in zip(idx, idx[1:], dist)):
+        padded, dual, below = table.padded, table.dual, table.below
+        rows, cols = _step_l1(n)
+        row_sum = col_sum = 0
+        unit = True
+        for a, b in zip(path, path[1:]):
+            d = rows[a, b]
+            if d == 0xff:
+                d = rows[a, b] = _l1(padded[a], padded[b])
+                cols[a, b] = _l1(padded[dual[a]], padded[dual[b]])
+            if d // 2 != 1 or not below[a] >> b & 1:
+                unit = False
+            row_sum += d
+            col_sum += cols[a, b]
+        if not unit:
             problems.append("step")
-        if sum(dist) != _l1(rows[0], rows[-1]):
+        a, b = path[0], path[-1]
+        if row_sum != _l1(padded[a], padded[b]):
             problems.append("row monotonicity")
-        cols = [table.padded[table.dual[k]] for k in idx]
-        if sum(map(_l1, cols, cols[1:])) != _l1(cols[0], cols[-1]):
+        if col_sum != _l1(padded[dual[a]], padded[dual[b]]):
             problems.append("column monotonicity")
     if problems:
         yield _pair_record(table, i, j, problems=problems)

@@ -9,6 +9,7 @@ from symorbit.partitions import (
     DiffStats,
     _bits,
     _index,
+    _index_chain,
     _qcr,
     _table,
     check_partition,
@@ -311,6 +312,17 @@ class TestDegenerationChain:
             with pytest.raises(ValueError) as got:
                 degeneration_chain(lam, mu)
             assert str(got.value) == str(expected.value)
+
+    def test_index_chain_matches_both(self):
+        # the suites' chains, as table indices, are the public chain and
+        # the rescanning reference, pair for pair, lam == mu included
+        for n in range(13):
+            table = _table(n)
+            for i, mask in enumerate(table.below):
+                for j in _bits(mask):
+                    lam, mu = table.parts[i], table.parts[j]
+                    chain = [table.parts[k] for k in _index_chain(n, i, j)]
+                    assert chain == degeneration_chain(lam, mu) == scanning_chain(lam, mu)
 
 
 class TestEnumeration:

@@ -407,7 +407,8 @@ class TestTableFacts:
 
     def test_diff_ind_matches_per_coordinate_check(self, monkeypatch):
         # the true chain, its reverse, a shuffle, one that stays put for a
-        # step and one that leaves P(n)
+        # step and one that leaves P(n), each as the index path it maps to,
+        # with None for the partition outside P(n)
         rng = random.Random(18)
         chain_of = partitions.degeneration_chain
         seen = set()
@@ -418,7 +419,8 @@ class TestTableFacts:
                 shuffled = rng.sample(chain, len(chain))
                 for variant in (chain, chain[::-1], shuffled, chain + [mu],
                                 chain[:-1] + [mu + (1,)]):
-                    monkeypatch.setattr(verify, "degeneration_chain", lambda *_, v=variant: v)
+                    path = [table.index.get(p) for p in variant]
+                    monkeypatch.setattr(verify, "_index_chain", lambda *_, v=path: v)
                     got = [r["problems"] for r in verify._check_diff_ind(table, i, j)]
                     expected = _reference_diff_ind(table, i, j, variant)
                     assert got == ([expected] if expected else []), (lam, mu, variant)
@@ -510,14 +512,57 @@ class TestExtremesMemo:
         _clear_caches()
         assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
 
+
+class TestChainMemos:
+    """diff_ind reads its chains and step distances from per-n memos, so
+    they must be cleared with the other caches, and no report may depend
+    on what earlier calls left in them."""
+
+    def test_cleared_by_clear_caches(self):
+        caches = (partitions._next_steps, verify._step_l1)
+        _clear_caches()
+        run_all(5)
+        assert all(cache.cache_info().currsize > 0 for cache in caches)
+        _clear_caches()
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0]
+
+    def test_order_independent(self, monkeypatch):
+        # n = 12 then n = 8 against n = 8 alone, clean and under a fault
+        runner = SUITES["diff_ind"].runner
+
+        def last_of(sizes):
+            _clear_caches()
+            return [runner(n) for n in sizes][-1]
+
+        try:
+            assert last_of([12, 8]) == last_of([8])
+            _reverse_odd_chains(monkeypatch)
+            faulted = last_of([8])
+            assert faulted[1] and last_of([12, 8]) == faulted
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+
+    def test_paths_independent_of_pair_order(self):
+        pairs = [(n, i, j) for n in range(1, 11) for _, i, j in verify._pairs(n)]
+        try:
+            _clear_caches()
+            forward = [partitions._index_chain(*pair) for pair in pairs]
+            _clear_caches()
+            backward = [partitions._index_chain(*pair) for pair in pairs[::-1]]
+        finally:
+            _clear_caches()
+        assert forward == backward[::-1]
+
+
 def _reverse_odd_chains(monkeypatch):
-    degeneration_chain = verify.degeneration_chain
+    index_chain = verify._index_chain
 
-    def reversed_if_odd(lam, mu):
-        chain = degeneration_chain(lam, mu)
-        return chain[::-1] if len(chain) % 2 else chain
+    def reversed_if_odd(n, i, j):
+        path = index_chain(n, i, j)
+        return path[::-1] if len(path) % 2 else path
 
-    monkeypatch.setattr(verify, "degeneration_chain", reversed_if_odd)
+    monkeypatch.setattr(verify, "_index_chain", reversed_if_odd)
 
 
 def _perturb_c_r(monkeypatch):
