@@ -237,6 +237,13 @@ def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
     return tuple(_multisets([(row, *row_letter_counts(row)) for row in rows], na, nb))
 
 
+def _check_letters(na: int, nb: int) -> None:
+    if na < 0 or nb < 0:
+        raise ValueError("letter counts must be nonnegative")
+    if na + nb > LETTER_BOUND:
+        raise ValueError(f"{na + nb} letters exceed the bound {LETTER_BOUND}")
+
+
 def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
     """Every ortho-symmetric diagram with na a's and nb b's, with its
     o - 2*Delta, a_partition and b_partition, in diagram_key order.
@@ -251,11 +258,11 @@ def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
     Both partitions grow as the rows do and need no sort: an odd length
     appends alpha's k+1 before beta's k a's, and beta's k+1 before
     alpha's k b's, so each stays non-increasing; length-1 rows add ones.
+    This walk feeds the listings, enumerate_ortho and the label
+    witnesses; _ortho_pairs repeats it for the extremes' pair tables
+    without building the diagrams.
     """
-    if na < 0 or nb < 0:
-        raise ValueError("letter counts must be nonnegative")
-    if na + nb > LETTER_BOUND:
-        raise ValueError(f"{na + nb} letters exceed the bound {LETTER_BOUND}")
+    _check_letters(na, nb)
     out: list[tuple[Diagram, int, Partition, Partition]] = []
 
     def walk(length: int, rows: Diagram, ra: int, rb: int, weight4: int,
@@ -283,6 +290,57 @@ def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
 
     walk(na + nb, (), na, nb, 0, (), ())
     return out
+
+
+def _ortho_pairs(na: int, nb: int) -> dict[tuple[Partition, Partition], list[int]]:
+    """The ortho-symmetric diagrams with na a's and nb b's grouped by
+    (a_partition, b_partition): per pair [largest o - 2*Delta, number of
+    diagrams], keyed in the order of each pair's first diagram in
+    diagram_key order.
+
+    The walk is _ortho's, lengths longest first and each count p, q, m
+    running downwards, but it carries only the letters left, the weight
+    and the two partitions, so no diagram tuple is built.  It stops at
+    length 2: the diagrams below that step share one pair, and the
+    first of them weighs most, so none of them is walked.
+    """
+    _check_letters(na, nb)
+    pairs: dict[tuple[Partition, Partition], list[int]] = {}
+
+    def walk(length: int, ra: int, rb: int, weight4: int,
+             a_part: Partition, b_part: Partition) -> None:
+        length = min(length, 2 * min(ra, rb) + 1)
+        if length <= 2:
+            # m = 0..most epsilon(1) pairs, then single letters: all add
+            # parts 1, so they make most + 1 diagrams of this one pair.  A
+            # further pair, from sa, sb >= 2 single letters, raises the
+            # weight by 4(sa + sb - 3) > 0, so the most pairs weigh most.
+            most = min(ra, rb) // 2
+            sa, sb = ra - 2 * most, rb - 2 * most
+            top = weight4 + sa + sb - 2 * sa * sb
+            key = (a_part + (1,) * ra, b_part + (1,) * rb)
+            pair = pairs.get(key)
+            if pair is None:
+                pairs[key] = [top, most + 1]
+            else:
+                if top > pair[0]:
+                    pair[0] = top
+                pair[1] += most + 1
+            return
+        k = length // 2
+        if length % 2 == 0:
+            for m in range(min(ra, rb) // length, -1, -1):
+                walk(length - 1, ra - m * length, rb - m * length, weight4,
+                     a_part + (k,) * (2 * m), b_part + (k,) * (2 * m))
+            return
+        for p in range(min(ra // (k + 1), rb // k), -1, -1):
+            sa, sb = ra - p * (k + 1), rb - p * k
+            for q in range(min(sa // k, sb // (k + 1)), -1, -1):
+                walk(length - 1, sa - q * k, sb - q * (k + 1), weight4 + p + q - 2 * p * q,
+                     a_part + (k + 1,) * p + (k,) * q, b_part + (k + 1,) * q + (k,) * p)
+
+    walk(na + nb, na, nb, 0, (), ())
+    return pairs
 
 
 @lru_cache(maxsize=None)

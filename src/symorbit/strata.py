@@ -182,7 +182,8 @@ def is_valid_tau_string(tau: TauString, spec: StrataSpec) -> bool:
 def _weight4(diagram: ab.Diagram) -> int:
     """Four times a diagram's share of the stratum dimension, o - 2*Delta;
     cached, as dim_stratum and augmentation checks share diagrams.  Fold
-    edges get the same weight from ab._ortho instead."""
+    edges and pair tables get the same weight from the piece walks
+    (ab._ortho, ab._ortho_pairs) instead."""
     return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
@@ -326,25 +327,19 @@ _Pair = tuple[int, int, int, int]  # (a-index, b-index, largest weight4, multipl
 @lru_cache(maxsize=None)
 def _pairs(na: int, nb: int) -> tuple[_Pair, ...]:
     """A column as the extremes need it: the distinct (a-partition,
-    b-partition) pairs of ab._ortho(na, nb), each with the largest weight4
-    and the number of its diagrams, in the order of their first diagram.
+    b-partition) pairs of the ortho-symmetric diagrams with na a's and
+    nb b's, each with the largest weight4 and the number of its
+    diagrams, in the order of their first diagram (ab._ortho_pairs).
 
     Partitions are replaced by their _index positions, so a fold step
-    hashes small ints.  ab._ortho is looked up at call time, so a patched
-    walk reaches this table as it reaches _edges.
+    hashes small ints.  ab._ortho_pairs walks the pieces without
+    building diagrams, separately from the ab._ortho walk behind
+    _edges, so the two tables check each other.  It is looked up at
+    call time, so a patched walk reaches this table.
     """
-    pairs: dict[tuple[Partition, Partition], list[int]] = {}
-    for _, weight4, a_part, b_part in ab._ortho(na, nb):
-        pair = pairs.get((a_part, b_part))
-        if pair is None:
-            pairs[a_part, b_part] = [weight4, 1]
-        else:
-            if weight4 > pair[0]:
-                pair[0] = weight4
-            pair[1] += 1
     a_index, b_index = _index(na), _index(nb)
     return tuple((a_index[a_part], b_index[b_part], top, mult)
-                 for (a_part, b_part), (top, mult) in pairs.items())
+                 for (a_part, b_part), (top, mult) in ab._ortho_pairs(na, nb).items())
 
 
 @lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ from symorbit.abdiagrams import (
     Indecomposable,
     _multisets,
     _ortho,
+    _ortho_pairs,
     a_count,
     a_partition,
     aug,
@@ -222,8 +223,9 @@ class TestStatistics:
 
 
 @pytest.mark.parametrize("call", [enumerate_all_diagrams, enumerate_ortho,
-                                  lambda na, nb: aug_any((), na, nb)],
-                         ids=["enumerate_all_diagrams", "enumerate_ortho", "aug_any"])
+                                  lambda na, nb: aug_any((), na, nb), _ortho_pairs],
+                         ids=["enumerate_all_diagrams", "enumerate_ortho", "aug_any",
+                              "ortho_pairs"])
 @pytest.mark.parametrize("na, nb", [(-1, 0), (0, -1), (2, -3)])
 def test_negative_letter_count_rejected(call, na, nb):
     with pytest.raises(ValueError, match="^letter counts must be nonnegative$"):
@@ -304,6 +306,8 @@ class TestEnumerateOrtho:
     def test_letter_bound(self):
         with pytest.raises(ValueError):
             enumerate_ortho(40, 40)
+        with pytest.raises(ValueError, match="^80 letters exceed the bound 64$"):
+            _ortho_pairs(40, 40)
 
 
 class TestAug:

@@ -336,6 +336,29 @@ class TestEdges:
                 total += sum(mult for *_, mult in _pairs(na, nb))
         assert total == 10535
 
+    def test_pairs_regroup_edges_past_20_letters(self):
+        # _pairs comes from its own walk (ab._ortho_pairs), _edges from
+        # ab._ortho; compare them on the tables of 21..26 letters and on
+        # the largest tables certify (14)..(16) builds, then free both
+        sizes = [(na, letters - na) for letters in range(21, 27) for na in range(letters + 1)]
+        sizes += [(14, 13), (15, 14), (16, 15)]
+        total = 0
+        try:
+            for na, nb in sizes:
+                expected = {}
+                for _, weight4, a_part, b_part in _edges(na, nb):
+                    top, mult = expected.get((a_part, b_part), (weight4, 0))
+                    expected[a_part, b_part] = (max(top, weight4), mult + 1)
+                a_parts, b_parts = enumerate_partitions(na), enumerate_partitions(nb)
+                got = [((a_parts[a], b_parts[b]), (top, mult))
+                       for a, b, top, mult in _pairs(na, nb)]
+                assert got == list(expected.items())
+                total += sum(mult for *_, mult in _pairs(na, nb))
+        finally:
+            _edges.cache_clear()
+            _pairs.cache_clear()
+        assert total == 44512 + 2563 + 3998 + 6140
+
 
 class TestLambdaBound:
     def test_default_and_precedence(self, monkeypatch):

@@ -591,10 +591,22 @@ def _two_rows_indecomposable(monkeypatch):
 
 
 def _two_row_weight_up(monkeypatch):
+    # the extremes' pair tables come from their own walk, so it is
+    # replaced by the faulted listing walk grouped by (a, b)
     ortho = abdiagrams._ortho
-    monkeypatch.setattr(abdiagrams, "_ortho",
-                        lambda na, nb: [(d, w + (len(d) == 2), *rest)
-                                        for d, w, *rest in ortho(na, nb)])
+
+    def faulted(na, nb):
+        return [(d, w + (len(d) == 2), *rest) for d, w, *rest in ortho(na, nb)]
+
+    def faulted_pairs(na, nb):
+        pairs = {}
+        for _, weight4, a_part, b_part in faulted(na, nb):
+            top, mult = pairs.get((a_part, b_part), (weight4, 0))
+            pairs[a_part, b_part] = [max(top, weight4), mult + 1]
+        return pairs
+
+    monkeypatch.setattr(abdiagrams, "_ortho", faulted)
+    monkeypatch.setattr(abdiagrams, "_ortho_pairs", faulted_pairs)
 
 
 # Each fault with the suites it fails at n = 6, as (instances_checked,
