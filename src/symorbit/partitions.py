@@ -111,10 +111,11 @@ def diff_stats(lam: Partition, mu: Partition) -> DiffStats:
     """The triple (q, c, r) measuring how far mu sits below lam."""
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; q/c/r need a dominating pair")
-    double_q = sum(abs(a - b) for a, b in zip_longest(lam, mu, fillvalue=0))
-    q = double_q // 2
+    rows = list(zip_longest(lam, mu, fillvalue=0))
+    q = sum(abs(a - b) for a, b in rows) // 2
     c = _column_weight(lam) - _column_weight(mu)
-    r = _column_weight(dual(mu)) - _column_weight(dual(lam))
+    # r is the rise in row weight, the sum of row numbers over all boxes
+    r = sum(k * (b - a) for k, (a, b) in enumerate(rows, 1))
     return DiffStats(q, c, r)
 
 
@@ -247,22 +248,22 @@ def _lower_covers(lam: Partition):
 
 @lru_cache(maxsize=None)
 def _table(n: int) -> SimpleNamespace:
-    """Everything the pair and triple loops need about P(n), by index.
+    """Everything the pair loops need about P(n), by index.
 
     parts is _partitions(n) and index inverts it.  padded holds each
     partition's rows zero-padded to n, dual the index of its transpose,
-    weight its column weight and row_weight the column weight of its
-    dual.  suffix holds the suffix sums of its zero-padded dual: entry k
-    counts the boxes in columns k+1 onwards.  below is the bitmask of
-    every index it dominates, itself included, closed from the last index
-    up over the _lower_covers walk: reverse-lex order is a linear extension
-    of dominance, so every cover of parts[i] sits at a larger index and its
-    mask is already closed.
+    weight its column weight and row_weight its row weight, k times row k
+    summed over its rows (counted from 1); both weights are read from the
+    rows, not from the transpose.  suffix holds the suffix sums of its
+    zero-padded dual: entry k counts the boxes in columns k+1 onwards.
+    below is the bitmask of every index it dominates, itself included,
+    closed from the last index up over the _lower_covers walk: reverse-lex
+    order is a linear extension of dominance, so every cover of parts[i]
+    sits at a larger index and its mask is already closed.
     """
     parts = _partitions(n)
     index = _index(n)
     dual_index = tuple(index[dual(p)] for p in parts)
-    weight = tuple(_column_weight(p) for p in parts)
     below = [0] * len(parts)
     for i in reversed(range(len(parts))):
         mask = 1 << i
@@ -276,8 +277,8 @@ def _table(n: int) -> SimpleNamespace:
         padded=padded,
         dual=dual_index,
         suffix=tuple(tuple(accumulate(reversed(padded[d])))[::-1] for d in dual_index),
-        weight=weight,
-        row_weight=tuple(weight[d] for d in dual_index),
+        weight=tuple(_column_weight(p) for p in parts),
+        row_weight=tuple(sum(k * p for k, p in enumerate(part, 1)) for part in parts),
         below=tuple(below),
     )
 
@@ -324,15 +325,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _cr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int]:
-    """(c, r) of the dominating pair (parts[i], parts[j]) of one table."""
-    return table.weight[i] - table.weight[j], table.row_weight[j] - table.row_weight[i]
-
-
 def _qcr(table: SimpleNamespace, i: int, j: int) -> tuple[int, int, int]:
     """(q, c, r) of the dominating pair (parts[i], parts[j]) of one table."""
     q = sum(map(abs, map(sub, table.padded[i], table.padded[j]))) // 2
-    return (q, *_cr(table, i, j))
+    return q, table.weight[i] - table.weight[j], table.row_weight[j] - table.row_weight[i]
 
 
 def dominance_covers(n: int) -> list[tuple[Partition, Partition]]:

@@ -30,7 +30,7 @@ from . import abdiagrams as ab
 from .partitions import (
     Partition,
     _bits,
-    _cr,
+    _box_move,
     _index_chain,
     _partitions,
     _qcr,
@@ -265,26 +265,24 @@ def _pair_record(table, i: int, j: int, **fields) -> dict:
     return {"lambda": list(table.parts[i]), "mu": list(table.parts[j]), **fields}
 
 
-def _l1(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    return sum(map(abs, map(sub, a, b)))
-
-
 @lru_cache(maxsize=None)
-def _step_l1(n: int) -> tuple[memoryview, memoryview]:
-    """The memo of _check_diff_ind for _table(n): entry [a, b] of the first
-    (second) grid is the L1 distance between the padded rows (columns) of
-    parts[a] and parts[b], 0xff until first used; no distance exceeds 2n."""
+def _step_l1(n: int) -> memoryview:
+    """The memo of _check_diff_ind for _table(n): entry [a, b] is the L1
+    distance between the padded rows of parts[a] and parts[b], 0xff until
+    first used; no distance exceeds 2n."""
     size = len(_partitions(n))
-    return tuple(memoryview(bytearray(b"\xff") * (size * size)).cast("B", (size, size))
-                 for _ in range(2))
+    return memoryview(bytearray(b"\xff") * (size * size)).cast("B", (size, size))
 
 
 def _check_diff_ind(table, i: int, j: int):
     """The chain is _index_chain's path of table indices, built from the
-    padded rows one box move at a time.  Each step's row and column L1 is
-    read from _step_l1, computed from table.padded and table.dual, so the
-    checks measure the path that was built.  A None in the path stands for
-    a partition outside P(n)."""
+    padded rows one box move at a time; each step's L1 length is read from
+    _step_l1.  A None in the path stands for a partition outside P(n).
+    Ends, length and unit steps make every row length monotone: q steps of
+    L1 length 2 add up to 2q, the L1 distance between the ends, so no row
+    turns back.  Rows and columns have equal L1 distances (both count the
+    boxes of the symmetric difference of two diagrams), so no column does.
+    """
     n = len(table.padded[i])
     path = _index_chain(n, i, j)
     problems = []
@@ -296,29 +294,15 @@ def _check_diff_ind(table, i: int, j: int):
         if len(path) > 1:
             problems.append("step")
     else:
-        # Every row (column) length is monotone along the chain exactly when
-        # the L1 lengths of the steps add up to the L1 distance between the
-        # ends.  A step's q is half its L1 length.
-        padded, dual, below = table.padded, table.dual, table.below
-        rows, cols = _step_l1(n)
-        row_sum = col_sum = 0
-        unit = True
+        padded, below = table.padded, table.below
+        rows = _step_l1(n)
         for a, b in zip(path, path[1:]):
             d = rows[a, b]
             if d == 0xff:
-                d = rows[a, b] = _l1(padded[a], padded[b])
-                cols[a, b] = _l1(padded[dual[a]], padded[dual[b]])
-            if d // 2 != 1 or not below[a] >> b & 1:
-                unit = False
-            row_sum += d
-            col_sum += cols[a, b]
-        if not unit:
-            problems.append("step")
-        a, b = path[0], path[-1]
-        if row_sum != _l1(padded[a], padded[b]):
-            problems.append("row monotonicity")
-        if col_sum != _l1(padded[dual[a]], padded[dual[b]]):
-            problems.append("column monotonicity")
+                d = rows[a, b] = sum(map(abs, map(sub, padded[a], padded[b])))
+            if d != 2 or not below[a] >> b & 1:
+                problems.append("step")
+                break
     if problems:
         yield _pair_record(table, i, j, problems=problems)
 
@@ -350,18 +334,29 @@ def _check_diff_usef(s: int, table, i: int, j: int):
 
 
 def _check_qcr_identities(table, i: int, j: int):
-    """The pair and every triple below it; triples need c and r only, reusing the pair's."""
+    """q, c and r vanish together, c >= q, and the box moves of the pair's
+    chain add up to its c and r, reading no weight: a box leaving row x of
+    cur for row y adds cur[x] - cur[y] - 1 to c and y - x to r.  Once each
+    pair agrees, c and r, differences of weights, add up over every triple
+    below it exactly, so the pair covers them, as comb_big's worst label
+    covers its orbit."""
     q, c, r = _qcr(table, i, j)
     equal = i == j
     if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
         yield _pair_record(table, i, j, problem="vanishing")
     if c < q:
         yield _pair_record(table, i, j, problem="c < q")
-    for k in _bits(table.below[j]):
-        c_bot, r_bot = _cr(table, j, k)
-        c_all, r_all = _cr(table, i, k)
-        if c_all != c + c_bot or r_all != r + r_bot:
-            yield _pair_record(table, i, j, nu=list(table.parts[k]), problem="additivity")
+    cur, target = [*table.padded[i], 0], table.padded[j]
+    c_moves = r_moves = first = y = 0
+    while (move := _box_move(cur, target, first, y)) is not None:
+        first, x, y = move
+        c_moves += cur[x] - cur[y] - 1
+        r_moves += y - x
+        cur[x] -= 1
+        cur[y] += 1
+    if (c_moves, r_moves) != (c, r):
+        yield _pair_record(table, i, j, c_moves=c_moves, r_moves=r_moves,
+                           problem="box moves")
 
 
 def _check_comb_col(table, i: int, j: int):
@@ -598,7 +593,7 @@ class _Suite:
 SUITES: dict[str, _Suite] = {
     "diff_ind": _Suite(
         partial(_pairs, strict=True), _check_diff_ind, 10, 12, 1,
-        "degeneration chains: endpoints, unit steps, monotone rows/columns",
+        "degeneration chains: endpoints, length q+1, unit dominance steps",
     ),
     "diff_usef": _Suite(
         _step_pairs, _check_diff_usef, 10, 12, 1,
@@ -606,12 +601,12 @@ SUITES: dict[str, _Suite] = {
     ),
     "qcr_identities": _Suite(
         _pairs, _check_qcr_identities, 10, 12, 1,
-        "q/c/r vanish together, c >= q, and c/r add along chains",
+        "q/c/r vanish together, c >= q, and c/r sum the chain's box moves",
         covers=lambda table, i, j: 1 + table.below[j].bit_count(),
     ),
     "comb_col": _Suite(
         _pairs, _check_comb_col, 10, 12, 1,
-        "column-square identity: sum of squared column differences = 2r",
+        "column-square identity: squared column differences sum to 2r, r read from rows",
     ),
     "o_sums": _Suite(
         _pairs, _check_o_sums, 10, 12, 1,

@@ -119,6 +119,19 @@ class TestDual:
         for lam in all_partitions_upto(14):
             assert dual(dual(lam)) == lam
 
+    def test_row_l1_equals_column_l1(self):
+        # both count the boxes of the symmetric difference of the two
+        # diagrams; diff_ind's step check relies on it for the columns
+        def l1(a, b):
+            return sum(abs(x - y) for x, y in zip_longest(a, b, fillvalue=0))
+
+        for n in range(10):
+            parts = enumerate_partitions(n)
+            cols = {lam: transpose_oracle(lam) for lam in parts}
+            for lam in parts:
+                for mu in parts:
+                    assert l1(lam, mu) == l1(cols[lam], cols[mu]), (lam, mu)
+
 
 class TestDominance:
     def test_examples(self):
