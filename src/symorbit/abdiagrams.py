@@ -157,20 +157,22 @@ def decompose(diagram: Diagram) -> tuple[Indecomposable, ...] | None:
 
     Odd rows convert directly; even rows must pair one 'a'-leading with one
     'b'-leading row of equal length, and any leftover even row is fatal.
+    Each a-leading even row adds one epsilon and tilts its length by +1,
+    each b-leading one tilts it by -1; the pairing holds iff no tilt is left.
     """
     pieces = []
-    evens: Counter[Row] = Counter()
+    tilt: dict[int, int] = {}
     for first, length in diagram:
         if length % 2 == 1:
             kind = "alpha" if first == "a" else "beta"
             pieces.append(Indecomposable(kind, (length - 1) // 2))
+        elif first == "a":
+            tilt[length] = tilt.get(length, 0) + 1
+            pieces.append(Indecomposable("epsilon", length // 2))
         else:
-            evens[(first, length)] += 1
-    for length in {length for _, length in evens}:
-        pairs = evens[("a", length)]
-        if pairs != evens[("b", length)]:
-            return None
-        pieces.extend([Indecomposable("epsilon", length // 2)] * pairs)
+            tilt[length] = tilt.get(length, 0) - 1
+    if any(tilt.values()):
+        return None
     return tuple(sorted(pieces))
 
 

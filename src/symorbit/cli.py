@@ -22,7 +22,7 @@ from .partitions import (
     parse_partition,
     s_step,
 )
-from .strata import dim_orbit, lambda_bound, strata_report
+from .strata import _fields, _rows, dim_orbit, lambda_bound
 
 POSET_BOUND = 40
 
@@ -103,7 +103,7 @@ def _stream(obj, pad: str, levels: int, write, lead: str = "") -> None:
 def _write_json(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) and a newline to
     stdout without holding the whole text: one write per element of the
-    two outer levels (a strata row, a poset node or edge, a report field)."""
+    two outer levels (a poset node or edge, a report field)."""
     write = sys.stdout.write
     _stream(obj, "", 2, write)
     write("\n")
@@ -142,25 +142,42 @@ def _cmd_normal(args) -> int:
 
 
 def _cmd_strata(args) -> int:
+    """Write strata_report(lam) as _write_json or as text lines would, one
+    write per row of strata._rows, so the table is never held whole."""
     lam = parse_partition(args.partition)
-    report = strata_report(lam)
+    rows = _rows(lam)  # checks lam before anything is written
+    fields = _fields(lam)
+    write = sys.stdout.write
     if args.format == "json":
-        _write_json(report)
+        members = [encode_basestring_ascii(key) + ": " + _encode(value, "  ")
+                   for key, value in sorted(fields.items())]
+        cut = sum(key < "strata" for key in fields)
+        write("{\n  " + "".join(member + ",\n  " for member in members[:cut]) + '"strata": [')
+        arrays = {}  # per orbit, the text of its parts
+        lead = "\n    "
+        for texts, mu, dim4 in rows:
+            array = arrays.get(mu)
+            if array is None:
+                array = arrays[mu] = _encode(list(mu), "      ")
+            write(f'{lead}{{\n      "dim_num4": {dim4},\n      "mu": {array},\n      "tau": [\n        '
+                  + ",\n        ".join(map(encode_basestring_ascii, texts))
+                  + "\n      ]\n    }")
+            lead = ",\n    "
+        write(("]" if lead == "\n    " else "\n  ]")
+              + "".join(",\n  " + member for member in members[cut:]) + "\n}\n")
         return 0
-    print(
-        f"lambda={format_partition(lam)}  n={sum(lam)}  t={report['t']}"
-        f"  dims={','.join(map(str, report['dims']))}"
-        f"  dimM={report['dimM']}  dimN={report['dimN']}"
-    )
-    top_mu = list(lam)
-    for row in report["strata"]:
-        marker = "*" if row["mu"] == top_mu else " "
-        tau_text = " | ".join(row["tau"])
-        dim = Fraction(row["dim_num4"], 4)
-        print(
-            f" {marker} {tau_text}    mu={format_partition(tuple(row['mu']))}"
-            f"  dim={dim}"
-        )
+    write(f"lambda={format_partition(lam)}  n={sum(lam)}  t={fields['t']}"
+          f"  dims={','.join(map(str, fields['dims']))}"
+          f"  dimM={fields['dimM']}  dimN={fields['dimN']}\n")
+    ends = {}  # per (orbit, dimension), the marker and the line's tail
+    for texts, mu, dim4 in rows:
+        end = ends.get((mu, dim4))
+        if end is None:
+            end = ends[mu, dim4] = (
+                " * " if mu == lam else "   ",
+                f"    mu={format_partition(mu)}  dim={Fraction(dim4, 4)}\n",
+            )
+        write(end[0] + " | ".join(texts) + end[1])
     return 0
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,55 @@ class TestStrata:
                     assert code == 0
                     digest.update(out.encode())
         assert digest.hexdigest() == self.STRATA_DIGEST
+
+    @staticmethod
+    def text_table(report):
+        # reference text format, built from strata_report's rows
+        lam = report["lambda"]
+        lines = [
+            f"lambda={format_partition(tuple(lam))}  n={sum(lam)}  t={report['t']}"
+            f"  dims={','.join(map(str, report['dims']))}"
+            f"  dimM={report['dimM']}  dimN={report['dimN']}"
+        ]
+        for row in report["strata"]:
+            marker = "*" if row["mu"] == lam else " "
+            lines.append(
+                f" {marker} {' | '.join(row['tau'])}    mu={format_partition(tuple(row['mu']))}"
+                f"  dim={Fraction(row['dim_num4'], 4)}"
+            )
+        return "".join(line + "\n" for line in lines)
+
+    def test_streamed_tables_match_report(self, capsys):
+        # both formats are written from the row stream, not from strata_report
+        for n in range(1, 8):
+            for lam in enumerate_partitions(n):
+                report = strata_report(lam)
+                text = format_partition(lam)
+                code, out, _ = run(capsys, "strata", text, "--format", "json")
+                assert code == 0
+                assert out == json.dumps(report, sort_keys=True, indent=2) + "\n", lam
+                code, out, _ = run(capsys, "strata", text)
+                assert code == 0
+                assert out == self.text_table(report), lam
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_rows_not_held(self, monkeypatch, fmt):
+        # (7) has 8,419 rows; streamed, the peak stays far below the
+        # table's few MB once the diagram tables are cached
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        monkeypatch.setattr("sys.stdout", Sink())
+        argv = ["strata", "7", "--format", fmt]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     def test_bound_exceeded(self, capsys):
         code, _, err = run(capsys, "strata", "13")
