@@ -151,28 +151,33 @@ class Indecomposable(NamedTuple):
         return (2 * self.k, 2 * self.k)
 
 
+def _tilt(rows: Iterable[Row]) -> tuple[tuple[int, int], ...]:
+    """Per even length, a-led rows minus b-led rows, as the sorted
+    (length, tilt) pairs whose tilt is nonzero."""
+    tilt: dict[int, int] = {}
+    for first, length in rows:
+        if length % 2 == 0:
+            tilt[length] = tilt.get(length, 0) + (1 if first == "a" else -1)
+    return tuple(sorted((length, t) for length, t in tilt.items() if t))
+
+
 @lru_cache(maxsize=None)
 def decompose(diagram: Diagram) -> tuple[Indecomposable, ...] | None:
     """Split into alpha/beta/epsilon pieces, or None when impossible.
 
-    Odd rows convert directly; even rows must pair one 'a'-leading with one
-    'b'-leading row of equal length, and any leftover even row is fatal.
-    Each a-leading even row adds one epsilon and tilts its length by +1,
-    each b-leading one tilts it by -1; the pairing holds iff no tilt is left.
+    Even rows must pair one 'a'-leading with one 'b'-leading row of equal
+    length, which holds iff the diagram has no tilt (_tilt); a tilted
+    diagram returns None before any piece is built.  Otherwise odd rows
+    convert directly and each a-leading even row adds one epsilon.
     """
+    if _tilt(diagram):
+        return None
     pieces = []
-    tilt: dict[int, int] = {}
     for first, length in diagram:
         if length % 2 == 1:
-            kind = "alpha" if first == "a" else "beta"
-            pieces.append(Indecomposable(kind, (length - 1) // 2))
+            pieces.append(Indecomposable("alpha" if first == "a" else "beta", length // 2))
         elif first == "a":
-            tilt[length] = tilt.get(length, 0) + 1
             pieces.append(Indecomposable("epsilon", length // 2))
-        else:
-            tilt[length] = tilt.get(length, 0) - 1
-    if any(tilt.values()):
-        return None
     return tuple(sorted(pieces))
 
 
@@ -202,41 +207,48 @@ def delta_stat(diagram: Diagram) -> int:
     return sum(odd[("a", length)] * odd[("b", length)] for length in lengths)
 
 
-def _multisets(items, na: int, nb: int) -> list[tuple]:
-    """Every multiset of items using exactly na a's and nb b's.
+@lru_cache(maxsize=None)
+def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
+    """Every diagram (ortho-symmetric or not) with exactly na a's and nb b's,
+    in diagram_key order.
 
-    items holds (item, a_count, b_count) triples; each multiset lists its
-    items in item order, and the multisets come in lexicographic order.
+    The walk has _ortho's shape: row lengths from longest to shortest,
+    each step starting at the longest row the letters left still fit.
+    A length takes p a-led rows, then q b-led rows, both counts running
+    downwards, and at length 1 the letters left become single-letter
+    rows.  More rows of a length, a-led ones first, come first, which is
+    diagram_key order.
     """
-    out: list[tuple] = []
-    acc: list = []
+    _check_letters(na, nb)
+    out: list[Diagram] = []
+    # one tuple per row, shared by every diagram that holds it
+    row_pairs = [(("a", length), ("b", length)) for length in range(na + nb + 2)]
 
-    def rec(start: int, ra: int, rb: int) -> None:
-        if ra == 0 and rb == 0:
-            out.append(tuple(acc))
+    def walk(length: int, rows: Diagram, ra: int, rb: int) -> None:
+        length = min(length, 2 * min(ra, rb) + 1)
+        if length <= 1:
+            a_one, b_one = row_pairs[1]
+            out.append(rows + (a_one,) * ra + (b_one,) * rb)
             return
-        for idx in range(start, len(items)):
-            item, ca, cb = items[idx]
-            if ca <= ra and cb <= rb:
-                acc.append(item)
-                rec(idx, ra - ca, rb - cb)
-                acc.pop()
+        a_row, b_row = row_pairs[length]
+        lead, trail = (length + 1) // 2, length // 2
+        for p in range(min(ra // lead, rb // trail), -1, -1):
+            sa, sb = ra - p * lead, rb - p * trail
+            for q in range(min(sa // trail, sb // lead), -1, -1):
+                walk(length - 1, rows + (a_row,) * p + (b_row,) * q,
+                     sa - q * trail, sb - q * lead)
 
-    rec(0, na, nb)
-    return out
+    walk(na + nb, (), na, nb)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
-    """Every diagram (ortho-symmetric or not) with exactly na a's and nb b's.
-
-    Rows are taken in canonical order, so the diagrams come out sorted by
-    diagram_key.
-    """
-    if na < 0 or nb < 0:
-        raise ValueError("letter counts must be nonnegative")
-    rows = [(first, length) for length in range(na + nb, 0, -1) for first in LETTERS]
-    return tuple(_multisets([(row, *row_letter_counts(row)) for row in rows], na, nb))
+def _extras_by_tilt(na: int, nb: int) -> dict[tuple[tuple[int, int], ...], list[Diagram]]:
+    """enumerate_all_diagrams(na, nb) grouped by _tilt, each group in key order."""
+    groups: dict[tuple[tuple[int, int], ...], list[Diagram]] = {}
+    for diagram in enumerate_all_diagrams(na, nb):
+        groups.setdefault(_tilt(diagram), []).append(diagram)
+    return groups
 
 
 def _check_letters(na: int, nb: int) -> None:
@@ -362,16 +374,31 @@ def aug(base: Diagram, da: int, db: int) -> list[Diagram]:
     Requires every row of base to be odd and to start and end with 'a'
     (base may also be empty).  Use aug_any for arbitrary base diagrams.
     """
+    return _augment(base, ((da, db),))[da, db]
+
+
+def _augment(base: Diagram, keys) -> dict[tuple[int, int], list[Diagram]]:
+    """aug for every (da, db) in keys, from one walk over base."""
     for first, length in base:
         if first != "a" or length % 2 == 0:
             raise ValueError(
                 "aug needs rows starting and ending with 'a'; use aug_any instead"
             )
-    return aug_any(base, da, db)
+    return _aug_walk(base, keys)
 
 
 def aug_any(base: Diagram, da: int, db: int) -> list[Diagram]:
     """aug without the precondition on the rows of base.
+
+    The grown diagram's letters, base's plus da + db, must stay within
+    the letter bound.  See _aug_walk for how the diagrams are found.
+    """
+    return _aug_walk(base, ((da, db),))[da, db]
+
+
+def _aug_walk(base: Diagram, keys) -> dict[tuple[int, int], list[Diagram]]:
+    """Per (da, db) in keys, in keys' order, the ortho-symmetric diagrams
+    reachable from base by adding da a's and db b's, sorted by diagram_key.
 
     A row of base grows only at its ends (alternation rules out interior
     insertion).  Adding s letters to it gives one of two rows of its
@@ -380,33 +407,45 @@ def aug_any(base: Diagram, da: int, db: int) -> list[Diagram]:
     once, as (grown row, added a's, added b's) in a fixed order.
     Identical base rows sit next to each other in canonical order and
     take options in non-decreasing index, so each multiset of grown rows
-    is tried once.  Leftover letters open new rows; the results are
-    filtered for ortho-symmetry, deduplicated and sorted by diagram_key.
+    is tried once, and a growth no key has the letters for is pruned.
+    A leaf that has used ua a's and ub b's serves each key with
+    da >= ua and db >= ub: the letters left open new rows, and only the
+    extras whose tilt cancels the grown rows' tilt can make a diagram
+    that splits.  Each candidate is still confirmed by
+    is_ortho_symmetric, then deduplicated.
     """
-    if da < 0 or db < 0:
-        raise ValueError("letter counts must be nonnegative")
-    results: set[Diagram] = set()
+    na, nb = a_count(base), b_count(base)
+    for da, db in keys:
+        if da < 0 or db < 0:
+            raise ValueError("letter counts must be nonnegative")
+        _check_letters(na + da, nb + db)
+    fits = {(ua, ub) for da, db in keys for ua in range(da + 1) for ub in range(db + 1)}
+    results: dict[tuple[int, int], set[Diagram]] = {key: set() for key in keys}
     rows = list(base)
-    options = [_growth_options(row, da + db) for row in rows]
+    budget = max(da + db for da, db in keys)
+    options = [_growth_options(row, budget) for row in rows]
     acc: list[Row] = []
 
-    def extend(idx: int, prev: int, ra: int, rb: int) -> None:
+    def extend(idx: int, prev: int, ua: int, ub: int) -> None:
         if idx == len(rows):
-            for extra in enumerate_all_diagrams(ra, rb):
-                candidate = canonical(acc + list(extra))
-                if is_ortho_symmetric(candidate):
-                    results.add(candidate)
+            cancel = tuple((length, -t) for length, t in _tilt(acc))
+            for (da, db), found in results.items():
+                if da >= ua and db >= ub:
+                    for extra in _extras_by_tilt(da - ua, db - ub).get(cancel, ()):
+                        candidate = canonical(acc + list(extra))
+                        if is_ortho_symmetric(candidate):
+                            found.add(candidate)
             return
         start = prev if idx and rows[idx] == rows[idx - 1] else 0
         for pos in range(start, len(options[idx])):
             grown, need_a, need_b = options[idx][pos]
-            if need_a <= ra and need_b <= rb:
+            if (ua + need_a, ub + need_b) in fits:
                 acc.append(grown)
-                extend(idx + 1, pos, ra - need_a, rb - need_b)
+                extend(idx + 1, pos, ua + need_a, ub + need_b)
                 acc.pop()
 
-    extend(0, 0, da, db)
-    return sorted(results, key=diagram_key)
+    extend(0, 0, 0, 0)
+    return {key: sorted(found, key=diagram_key) for key, found in results.items()}
 
 
 def _growth_options(row: Row, budget: int) -> list[tuple[Row, int, int]]:

@@ -391,15 +391,17 @@ def _a_bases(n: int):
 
 
 AUG_LETTER_BUDGET = 4
+_AUG_KEYS = tuple((da, db) for da in range(AUG_LETTER_BUDGET + 1)
+                  for db in range(AUG_LETTER_BUDGET + 1 - da))
 
 
 def _augmentations(n: int):
-    """(base, da, db, grown) for every da + db within the letter budget."""
+    """(base, da, db, grown) for every da + db within the letter budget,
+    all from one augmentation walk per base."""
     for base in _a_bases(n):
-        for da in range(AUG_LETTER_BUDGET + 1):
-            for db in range(AUG_LETTER_BUDGET + 1 - da):
-                for grown in ab.aug(base, da, db):
-                    yield base, da, db, grown
+        for (da, db), grown_list in ab._augment(base, _AUG_KEYS).items():
+            for grown in grown_list:
+                yield base, da, db, grown
 
 
 def _check_comb_maxab(base, da: int, db: int, grown):

@@ -2,9 +2,10 @@
 
 import pytest
 
+from symorbit import verify
 from symorbit.abdiagrams import (
+    LETTERS,
     Indecomposable,
-    _multisets,
     _ortho,
     _ortho_pairs,
     a_count,
@@ -25,11 +26,36 @@ from symorbit.abdiagrams import (
     o_stat,
     parse_diagram,
     recompose,
+    row_letter_counts,
     row_word,
     substring_count,
 )
 
 PICTURE = parse_diagram("ababa/ba/b/a")
+
+
+def _multisets(items, na, nb):
+    """Every multiset of items using exactly na a's and nb b's.
+
+    items holds (item, a_count, b_count) triples; each multiset lists its
+    items in item order, and the multisets come in lexicographic order.
+    """
+    out = []
+    acc = []
+
+    def rec(start, ra, rb):
+        if ra == 0 and rb == 0:
+            out.append(tuple(acc))
+            return
+        for idx in range(start, len(items)):
+            item, ca, cb = items[idx]
+            if ca <= ra and cb <= rb:
+                acc.append(item)
+                rec(idx, ra - ca, rb - cb)
+                acc.pop()
+
+    rec(0, na, nb)
+    return out
 
 
 def diagrams_upto(letters):
@@ -298,6 +324,19 @@ class TestEnumerateOrtho:
                 total += len(got)
         assert total == 3132
 
+    def test_all_diagrams_against_row_multisets(self):
+        # every multiset of rows, in canonical row order, fitting the letters
+        total = 0
+        for letters in range(15):
+            for na in range(letters + 1):
+                nb = letters - na
+                rows = [(first, length) for length in range(letters, 0, -1) for first in LETTERS]
+                counted = [(row, *row_letter_counts(row)) for row in rows]
+                expected = tuple(_multisets(counted, na, nb))
+                assert enumerate_all_diagrams(na, nb) == expected
+                total += len(expected)
+        assert total == 7567
+
     def test_all_results_valid(self):
         for d in enumerate_ortho(5, 4):
             assert a_count(d) == 5 and b_count(d) == 4
@@ -308,6 +347,11 @@ class TestEnumerateOrtho:
             enumerate_ortho(40, 40)
         with pytest.raises(ValueError, match="^80 letters exceed the bound 64$"):
             _ortho_pairs(40, 40)
+        with pytest.raises(ValueError, match="^80 letters exceed the bound 64$"):
+            enumerate_all_diagrams(40, 40)
+        # the base's letters count too: 3 + 2 + 30 + 30
+        with pytest.raises(ValueError, match="^65 letters exceed the bound 64$"):
+            aug_any(parse_diagram("ababa"), 30, 30)
 
 
 class TestAug:
@@ -345,6 +389,20 @@ class TestAug:
         for da in range(5):
             for db in range(5 - da):
                 assert aug_any(base, da, db) == aug_oracle(base, da, db)
+
+    def test_augmentations_against_embedding_oracle(self):
+        # the comb_maxab space serves every (da, db) of a base from one
+        # walk; each must match the definition-level augmentation
+        keys = [(da, db) for da in range(5) for db in range(5 - da)]
+        for n in range(8):
+            bases = list(verify._a_bases(n))
+            assert set(bases) == {
+                d for na in range(n + 1) for d in enumerate_all_diagrams(na, n - na)
+                if all(first == "a" and length % 2 == 1 for first, length in d)
+            }
+            expected = [(base, da, db, d) for base in bases for da, db in keys
+                        for d in aug_oracle(base, da, db)]
+            assert list(verify._augmentations(n)) == expected
 
     def test_growth_bound_small(self):
         # added odd rows can raise the odd-row surplus by at most max(da, db)
