@@ -111,6 +111,11 @@ def diff_stats(lam: Partition, mu: Partition) -> DiffStats:
     """The triple (q, c, r) measuring how far mu sits below lam."""
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; q/c/r need a dominating pair")
+    return _row_stats(lam, mu)
+
+
+def _row_stats(lam: Partition, mu: Partition) -> DiffStats:
+    """diff_stats read from the rows alone, for a pair known to dominate."""
     rows = list(zip_longest(lam, mu, fillvalue=0))
     q = sum(abs(a - b) for a, b in rows) // 2
     c = _column_weight(lam) - _column_weight(mu)
@@ -160,7 +165,10 @@ def degeneration_chain(lam: Partition, mu: Partition) -> list[Partition]:
     target again and `j`, the first row that falls short, never moves back.
     So the move read from the current rows alone, with both scans from row
     0, is the same: _box_move is the one rule, and _index_chain builds the
-    suites' chains from it as table indices.
+    suites' chains from it as table indices.  It follows that the tail of
+    a chain, from its second entry on, is the chain from that entry to mu,
+    so chain facts that add up along a chain, such as the box-move sums
+    of qcr_identities, can be memoised per (entry, target) pair.
     """
     if not dominates(lam, mu):
         raise ValueError(f"{lam} does not dominate {mu}; no degeneration chain exists")
@@ -255,7 +263,8 @@ def _table(n: int) -> SimpleNamespace:
     weight its column weight and row_weight its row weight, k times row k
     summed over its rows (counted from 1); both weights are read from the
     rows, not from the transpose.  suffix holds the suffix sums of its
-    zero-padded dual: entry k counts the boxes in columns k+1 onwards.
+    zero-padded dual: entry k counts the boxes in columns k+1 onwards, and
+    colsq the sum of its squared column lengths, read from that dual.
     below is the bitmask of every index it dominates, itself included,
     closed from the last index up over the _lower_covers walk: reverse-lex
     order is a linear extension of dominance, so every cover of parts[i]
@@ -277,6 +286,7 @@ def _table(n: int) -> SimpleNamespace:
         padded=padded,
         dual=dual_index,
         suffix=tuple(tuple(accumulate(reversed(padded[d])))[::-1] for d in dual_index),
+        colsq=tuple(sum(x * x for x in parts[d]) for d in dual_index),
         weight=tuple(_column_weight(p) for p in parts),
         row_weight=tuple(sum(k * p for k, p in enumerate(part, 1)) for part in parts),
         below=tuple(below),

@@ -87,14 +87,15 @@ def tau_zero(lam: Partition) -> TauString:
 
     Column i is built from the part of lam right of column i-1: one 'a'
     per box of each row and one 'b' between consecutive 'a's, so every row
-    is odd and starts and ends with 'a'.
+    is odd and starts and ends with 'a'.  The parts of lam weakly
+    decrease, so each column's rows already come out in canonical order.
     """
     if not lam:
         raise ValueError("the empty partition has no stratum data")
     entries = []
     for i in range(lam[0]):
         rows = [("a", 2 * (p - i) - 1) for p in lam if p > i]
-        entries.append(ab.canonical(rows))
+        entries.append(tuple(rows))
     return tuple(entries)
 
 

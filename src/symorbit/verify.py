@@ -34,9 +34,9 @@ from .partitions import (
     _index_chain,
     _partitions,
     _qcr,
+    _row_stats,
     _table,
     check_partition,
-    diff_stats,
     s_step,
 )
 from .strata import (
@@ -178,7 +178,7 @@ def check_normality_gap(lam: Partition, bound: int | None = None) -> StrataCheck
     def judge(mu, gap4, count):
         if gap4 < 8:
             yield _label_record(lam, mu, gap4, problem="gap below 2")
-        stats = diff_stats(lam, mu)
+        stats = _row_stats(lam, mu)
         if stats.q == 2 and stats.c == 2:
             bucket = "q2c2"
         elif stats.q == 1 and stats.c in (1, 2, 3):
@@ -326,42 +326,86 @@ def _step_pairs(n: int):
 
 
 def _check_diff_usef(s: int, table, i: int, j: int):
+    """The strictness hypothesis decides a verdict, and so is read, only
+    when s*r <= c+q: it turns equality into a counterexample, and every
+    record carries it."""
     q, c, r = _qcr(table, i, j)
     lhs, rhs = s * r, c + q
-    strict = _strictness_hypothesis(table, i, j)
-    if lhs < rhs or (strict and lhs == rhs):
-        yield _pair_record(table, i, j, s=s, q=q, c=c, r=r, strict_expected=strict)
+    if lhs <= rhs:
+        strict = _strictness_hypothesis(table, i, j)
+        if lhs < rhs or strict:
+            yield _pair_record(table, i, j, s=s, q=q, c=c, r=r, strict_expected=strict)
+
+
+@lru_cache(maxsize=None)
+def _move_sums(n: int) -> tuple[memoryview, memoryview]:
+    """The memo of _chain_move_sums for _table(n): entry [a, t] of the
+    first grid sums the c increments of the box moves from parts[a] down
+    to parts[t], of the second their r increments, 0xffff until first
+    used.  c and r are at most comb(n, 2) <= 2016 for n <= 64."""
+    size = len(_partitions(n))
+    return tuple(memoryview(bytearray(b"\xff") * (2 * size * size)).cast("H", (size, size))
+                 for _ in range(2))
+
+
+def _chain_move_sums(table, i: int, j: int) -> tuple[int, int]:
+    """The c and r increments summed over the box moves from parts[i] down
+    to parts[j], reading no weight: a box leaving row x of cur for row y
+    adds cur[x] - cur[y] - 1 to c and y - x to r.  The chain from parts[i]
+    is its first move followed by the chain from the partition s that move
+    reaches (see degeneration_chain), so the sums of (i, j) are that
+    move's increments plus the sums of (s, j).  The walk goes down to the
+    first pair already in _move_sums(n) and fills the pairs above it on
+    the way back, so each pair's move is computed once per n."""
+    c_sums, r_sums = _move_sums(len(table.padded[i]))
+    c = c_sums[i, j]
+    if c != 0xffff:
+        return c, r_sums[i, j]
+    padded, target = table.padded, table.padded[j]
+    path = []
+    while c == 0xffff:
+        cur = [*padded[i], 0]
+        move = _box_move(cur, target)
+        if move is None:
+            c_sums[i, j] = r_sums[i, j] = c = 0
+            break
+        _, x, y = move
+        path.append((i, cur[x] - cur[y] - 1, y - x))
+        cur[x] -= 1
+        cur[y] += 1
+        i = table.index[tuple(cur[:cur.index(0)])]
+        c = c_sums[i, j]
+    r = r_sums[i, j]
+    for a, dc, dr in reversed(path):
+        c += dc
+        r += dr
+        c_sums[a, j] = c
+        r_sums[a, j] = r
+    return c, r
 
 
 def _check_qcr_identities(table, i: int, j: int):
     """q, c and r vanish together, c >= q, and the box moves of the pair's
-    chain add up to its c and r, reading no weight: a box leaving row x of
-    cur for row y adds cur[x] - cur[y] - 1 to c and y - x to r.  Once each
-    pair agrees, c and r, differences of weights, add up over every triple
-    below it exactly, so the pair covers them, as comb_big's worst label
-    covers its orbit."""
+    chain add up to its c and r (_chain_move_sums).  Once each pair agrees,
+    c and r, differences of weights, add up over every triple below it
+    exactly, so the pair covers them, as comb_big's worst label covers
+    its orbit."""
     q, c, r = _qcr(table, i, j)
     equal = i == j
     if ((q == 0) != equal) or ((c == 0) != equal) or ((r == 0) != equal):
         yield _pair_record(table, i, j, problem="vanishing")
     if c < q:
         yield _pair_record(table, i, j, problem="c < q")
-    cur, target = [*table.padded[i], 0], table.padded[j]
-    c_moves = r_moves = first = y = 0
-    while (move := _box_move(cur, target, first, y)) is not None:
-        first, x, y = move
-        c_moves += cur[x] - cur[y] - 1
-        r_moves += y - x
-        cur[x] -= 1
-        cur[y] += 1
+    c_moves, r_moves = _chain_move_sums(table, i, j)
     if (c_moves, r_moves) != (c, r):
         yield _pair_record(table, i, j, c_moves=c_moves, r_moves=r_moves,
                            problem="box moves")
 
 
 def _check_comb_col(table, i: int, j: int):
-    lhat, mhat = table.padded[table.dual[i]], table.padded[table.dual[j]]
-    lhs = sum(b * b - a * a for a, b in zip(lhat, mhat))
+    """Squared column lengths summed from the duals (colsq), against r
+    read from the rows."""
+    lhs = table.colsq[j] - table.colsq[i]
     rhs = 2 * _qcr(table, i, j)[2]
     if lhs != rhs:
         yield _pair_record(table, i, j, lhs=lhs, rhs=rhs)

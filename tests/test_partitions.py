@@ -456,6 +456,17 @@ class TestTable:
                 cols += (0,) * (n - len(cols))
                 assert table.suffix[i] == tuple(sum(cols[k:]) for k in range(n))
 
+    def test_column_squares_match_zip_sum(self):
+        # comb_col's lhs, once summed over the padded duals of each pair
+        for n in range(1, 13):
+            table = _table(n)
+            for i in range(len(table.parts)):
+                lhat = table.padded[table.dual[i]]
+                for j in _bits(table.below[i]):
+                    mhat = table.padded[table.dual[j]]
+                    zipped = sum(b * b - a * a for a, b in zip(lhat, mhat))
+                    assert table.colsq[j] - table.colsq[i] == zipped
+
     def test_below_masks_are_dominance_filters(self):
         for n in range(13):
             table = _table(n)

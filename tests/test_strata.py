@@ -212,6 +212,12 @@ class TestTauZero:
         for lam in partitions_upto(9):
             assert is_valid_tau_string(tau_zero(lam), strata_spec(lam))
 
+    def test_columns_come_out_canonical(self):
+        # tau_zero builds each column's rows in order and sorts none
+        for lam in partitions_upto(14):
+            for column in tau_zero(lam):
+                assert column == abdiagrams.canonical(column), lam
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="^the empty partition has no stratum data$"):
             tau_zero(())

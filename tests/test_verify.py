@@ -191,7 +191,7 @@ class TestNormalityGap:
     def test_uncovered_case_is_recorded(self, monkeypatch):
         # c >= q makes the three routes exhaustive; a (q, c) fitting none
         # is a counterexample, with its orbit's first worst label
-        monkeypatch.setattr(verify, "diff_stats",
+        monkeypatch.setattr(verify, "_row_stats",
                             lambda lam, mu: partitions.DiffStats(q=2, c=1, r=3))
         result = check_normality_gap((2, 1))
         assert (result.status, result.instances, result.min_gap) == ("failed", 1, 2)
@@ -552,6 +552,119 @@ class TestChainMemos:
         finally:
             _clear_caches()
         assert forward == backward[::-1]
+
+
+def _walk_move_sums(table, i, j):
+    """The c and r increments of every box move from parts[i] down to
+    parts[j], summed along the whole chain with no memo."""
+    cur, target = [*table.padded[i], 0], table.padded[j]
+    c_moves = r_moves = first = y = 0
+    while (move := partitions._box_move(cur, target, first, y)) is not None:
+        first, x, y = move
+        c_moves += cur[x] - cur[y] - 1
+        r_moves += y - x
+        cur[x] -= 1
+        cur[y] += 1
+    return c_moves, r_moves
+
+
+def _stop_one_move_short(monkeypatch):
+    # every chain that qcr_identities walks ends one box move above its target
+    box_move = verify._box_move
+
+    def short(cur, target, first=0, j=0):
+        if sum(abs(a - b) for a, b in zip(cur, target)) == 2:
+            return None
+        return box_move(cur, target, first, j)
+
+    monkeypatch.setattr(verify, "_box_move", short)
+
+
+class TestMoveSums:
+    """qcr_identities reads each pair's box-move sums from a per-n memo
+    filled down the chain, so the memo must agree with the whole walk, be
+    cleared with the other caches, and leave no report depending on what
+    earlier calls left in it."""
+
+    def test_matches_whole_chain_walk(self):
+        try:
+            _clear_caches()
+            for n in range(1, 13):
+                for table, i, j in verify._pairs(n):
+                    assert (verify._chain_move_sums(table, i, j)
+                            == _walk_move_sums(table, i, j)), (table.parts[i], table.parts[j])
+        finally:
+            _clear_caches()
+
+    def test_cleared_by_clear_caches(self):
+        _clear_caches()
+        run_suite("qcr_identities", 5)
+        assert verify._move_sums.cache_info().currsize > 0
+        _clear_caches()
+        assert verify._move_sums.cache_info().currsize == 0
+
+    def test_order_independent(self, monkeypatch):
+        # n = 12 then n = 8 against n = 8 alone, clean and under a fault
+        runner = SUITES["qcr_identities"].runner
+
+        def last_of(sizes):
+            _clear_caches()
+            return [runner(n) for n in sizes][-1]
+
+        try:
+            clean = last_of([8])
+            assert not clean[1] and last_of([12, 8]) == clean
+            _perturb_c_r(monkeypatch)
+            faulted = last_of([8])
+            assert faulted[1] and last_of([12, 8]) == faulted
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+
+    def test_short_chains_fail_qcr_identities(self, monkeypatch):
+        # a box-move rule that stops early fails every strict pair, and
+        # only this suite: diff_ind builds its chains in partitions
+        _clear_caches()
+        try:
+            _stop_one_move_short(monkeypatch)
+            reports = run_all(6, max_counterexamples=10**9)
+        finally:
+            monkeypatch.undo()
+            _clear_caches()
+        failing = [r for r in reports if not r.ok]
+        assert [r.lemma_id for r in failing] == ["qcr_identities"]
+        assert len(failing[0].counterexamples) == PINNED_AT_6["diff_ind"][0]
+        assert {ce["problem"] for ce in failing[0].counterexamples} == {"box moves"}
+
+
+class TestLazyStrictness:
+    def test_diff_usef_matches_eager_strictness(self, monkeypatch):
+        # diff_usef reads the strictness hypothesis only when s*r <= c+q;
+        # a reference that reads it for every pair finds the same records
+        def eager(s, table, i, j):
+            q, c, r = verify._qcr(table, i, j)
+            strict = verify._strictness_hypothesis(table, i, j)
+            if s * r < c + q or (strict and s * r == c + q):
+                yield verify._pair_record(table, i, j, s=s, q=q, c=c, r=r,
+                                          strict_expected=strict)
+
+        items = [item for n in range(1, 11) for item in verify._step_pairs(n)]
+        try:
+            _perturb_c_r(monkeypatch)
+            lazy = [rec for item in items for rec in verify._check_diff_usef(*item)]
+            expected = [rec for item in items for rec in eager(*item)]
+            tied = set()
+            for s, table, i, j in items:
+                q, c, r = verify._qcr(table, i, j)
+                if s * r == c + q:
+                    tied.add(verify._strictness_hypothesis(table, i, j))
+        finally:
+            monkeypatch.undo()
+        assert lazy == expected
+        # the fault leaves ties on both sides of the hypothesis, and records
+        # with it both true and false
+        assert tied == {True, False}
+        assert {rec["strict_expected"] for rec in lazy} == {True, False}
 
 
 def _reverse_odd_chains(monkeypatch):
