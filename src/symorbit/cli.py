@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from json.encoder import INFINITY, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 
 from . import verify
 from .partitions import (
@@ -27,86 +27,16 @@ from .strata import _fields, _rows, dim_orbit, lambda_bound
 POSET_BOUND = 40
 
 
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == INFINITY:
-        return "Infinity"
-    if value == -INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# the JSON text of each scalar type, spelled as json.dumps spells it
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _encode(obj, pad: str) -> str:
-    """The JSON text of obj as json.dumps(sort_keys=True, indent=2) writes
-    it, with pad as the indentation of the line it starts on."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        texts = [
-            encode_basestring_ascii(key) + ": "
-            + (scalar(value) if (scalar := _SCALARS.get(type(value))) else _encode(value, inner))
-            for key, value in sorted(obj.items())
-        ]
-        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "}"
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        # a list of one scalar type, such as a row's parts or its diagrams,
-        # is one map over a C function
-        kinds = set(map(type, obj))
-        if len(kinds) == 1 and (scalar := _SCALARS.get(kinds.pop())):
-            texts = map(scalar, obj)
-        else:
-            texts = [_encode(value, inner) for value in obj]
-        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
-    scalar = _SCALARS.get(kind)
-    if scalar is None:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    return scalar(obj)
-
-
-def _stream(obj, pad: str, levels: int, write, lead: str = "") -> None:
-    """Write lead + _encode(obj, pad), the elements of the outer `levels`
-    levels of containers one per write, each led by its separator."""
-    kind = type(obj)
-    if not levels or not obj or kind not in (dict, list, tuple):
-        write(lead + _encode(obj, pad))
-        return
-    inner = pad + "  "
-    if kind is dict:
-        items = [(encode_basestring_ascii(key) + ": ", value) for key, value in sorted(obj.items())]
-        opening, closing = "{", "}"
-    else:
-        items = [("", value) for value in obj]
-        opening, closing = "[", "]"
-    lead += opening + "\n" + inner
-    for head, value in items:
-        _stream(value, inner, levels - 1, write, lead + head)
-        lead = ",\n" + inner
-    write("\n" + pad + closing)
-
-
 def _write_json(obj) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) and a newline to
-    stdout without holding the whole text: one write per element of the
-    two outer levels (a poset node or edge, a report field)."""
-    write = sys.stdout.write
-    _stream(obj, "", 2, write)
-    write("\n")
+    stdout; json.dump writes it in chunks, never as one string."""
+    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
+
+
+def _ints(values, pad: str) -> str:
+    """json.dumps(indent=2)'s text of a nonempty list of ints on a line indented by pad."""
+    return f"[\n{pad}  " + f",\n{pad}  ".join(map(str, values)) + f"\n{pad}]"
 
 
 def _cmd_normal(args) -> int:
@@ -149,7 +79,7 @@ def _cmd_strata(args) -> int:
     fields = _fields(lam)
     write = sys.stdout.write
     if args.format == "json":
-        members = [encode_basestring_ascii(key) + ": " + _encode(value, "  ")
+        members = [f'"{key}": ' + (_ints(value, "  ") if type(value) is list else str(value))
                    for key, value in sorted(fields.items())]
         cut = sum(key < "strata" for key in fields)
         write("{\n  " + "".join(member + ",\n  " for member in members[:cut]) + '"strata": [')
@@ -158,7 +88,7 @@ def _cmd_strata(args) -> int:
         for texts, mu, dim4 in rows:
             array = arrays.get(mu)
             if array is None:
-                array = arrays[mu] = _encode(list(mu), "      ")
+                array = arrays[mu] = _ints(mu, "      ")
             write(f'{lead}{{\n      "dim_num4": {dim4},\n      "mu": {array},\n      "tau": [\n        '
                   + ",\n        ".join(map(encode_basestring_ascii, texts))
                   + "\n      ]\n    }")
@@ -223,7 +153,21 @@ def _cmd_poset(args) -> int:
         raise ValueError(f"poset size must be between 1 and {POSET_BOUND}")
     nodes, edges = _poset_data(n)
     if args.format == "json":
-        _write_json({"n": n, "nodes": nodes, "edges": [list(e) for e in edges]})
+        # json.dumps(sort_keys=True, indent=2)'s bytes, one write per edge and per
+        # node; partition names are digits and commas, so they need no escaping
+        write = sys.stdout.write
+        write('{\n  "edges": [')
+        lead = "\n    "
+        for src, dst in edges:
+            write(f'{lead}[\n      "{src}",\n      "{dst}"\n    ]')
+            lead = ",\n    "
+        write(("]" if lead == "\n    " else "\n  ]") + f',\n  "n": {n},\n  "nodes": [')
+        lead = "\n    "
+        for node in nodes:
+            write(f'{lead}{{\n      "dim_orbit": {node["dim_orbit"]},\n      "normal": '
+                  f'{"true" if node["normal"] else "false"},\n      "partition": "{node["partition"]}"\n    }}')
+            lead = ",\n    "
+        write("\n  ]\n}\n")
         return 0
     if args.format == "dot":
         lines = [f'digraph "dominance_{n}" {{']

@@ -17,6 +17,11 @@ from symorbit.strata import strata_report
 from symorbit.verify import SUITES, run_all
 
 
+def poset_payload(n):
+    nodes, edges = cli._poset_data(n)
+    return {"n": n, "nodes": nodes, "edges": [list(e) for e in edges]}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -336,7 +341,7 @@ class TestPoset:
 
 
 class TestJsonWriter:
-    """The streaming writer against json.dumps(sort_keys=True, indent=2)."""
+    """The JSON writers against json.dumps(sort_keys=True, indent=2)."""
 
     @staticmethod
     def check(capsys, obj):
@@ -349,9 +354,10 @@ class TestJsonWriter:
                 self.check(capsys, strata_report(lam))
 
     def test_poset_payloads(self, capsys):
-        for n in range(1, 11):
-            nodes, edges = cli._poset_data(n)
-            self.check(capsys, {"n": n, "nodes": nodes, "edges": [list(e) for e in edges]})
+        # poset's own row writer, down to the empty edge list at n = 1
+        for n in range(1, 13):
+            _, out, _ = run(capsys, "poset", str(n), "--format", "json")
+            assert out == json.dumps(poset_payload(n), sort_keys=True, indent=2) + "\n"
 
     def test_verify_reports(self, capsys):
         reports = [r.to_dict() for r in run_all(6)]
@@ -374,14 +380,18 @@ class TestJsonWriter:
     @pytest.mark.parametrize("obj", [
         {"dim": Fraction(1, 2)},
         [1, [Fraction(3)]],
-        {1: "one"},
+        {"parts": {1, 2}},
         {"row": {(1, 2): 3}},
     ])
     def test_unserializable(self, capsys, obj):
         with pytest.raises(TypeError):
             cli._write_json(obj)
 
-    def test_streamed_in_small_writes(self, monkeypatch):
+    @pytest.mark.parametrize("argv, payload, rows", [
+        (["strata", "7"], lambda: strata_report((7,)), 1000),
+        (["poset", "12"], lambda: poset_payload(12), 77 + 128),  # nodes + edges
+    ], ids=["strata", "poset"])
+    def test_streamed_in_small_writes(self, monkeypatch, argv, payload, rows):
         # one write per row: the whole document is never one string
         writes = []
 
@@ -391,10 +401,10 @@ class TestJsonWriter:
                 return len(text)
 
         monkeypatch.setattr("sys.stdout", Recorder())
-        assert main(["strata", "7", "--format", "json"]) == 0
-        assert len(writes) > 1000
+        assert main([*argv, "--format", "json"]) == 0
+        assert len(writes) > rows
         assert max(map(len, writes)) <= 4096
-        expected = json.dumps(strata_report((7,)), sort_keys=True, indent=2) + "\n"
+        expected = json.dumps(payload(), sort_keys=True, indent=2) + "\n"
         assert "".join(writes) == expected
 
 
