@@ -315,8 +315,9 @@ def _ortho_pairs(na: int, nb: int) -> dict[tuple[Partition, Partition], list[int
     The walk is _ortho's, lengths longest first and each count p, q, m
     running downwards, but it carries only the letters left, the weight
     and the two partitions, so no diagram tuple is built.  It stops at
-    length 2: the diagrams below that step share one pair, and the
-    first of them weighs most, so none of them is walked.
+    length 3: each (p, q) there fixes one pair for all the diagrams
+    below it, whose first weighs most, so the rows of length 2 and 1
+    are counted in the loop body, not walked.
     """
     _check_letters(na, nb)
     pairs: dict[tuple[Partition, Partition], list[int]] = {}
@@ -324,22 +325,33 @@ def _ortho_pairs(na: int, nb: int) -> dict[tuple[Partition, Partition], list[int
     def walk(length: int, ra: int, rb: int, weight4: int,
              a_part: Partition, b_part: Partition) -> None:
         length = min(length, 2 * min(ra, rb) + 1)
-        if length <= 2:
-            # m = 0..most epsilon(1) pairs, then single letters: all add
-            # parts 1, so they make most + 1 diagrams of this one pair.  A
-            # further pair, from sa, sb >= 2 single letters, raises the
-            # weight by 4(sa + sb - 3) > 0, so the most pairs weigh most.
-            most = min(ra, rb) // 2
-            sa, sb = ra - 2 * most, rb - 2 * most
-            top = weight4 + sa + sb - 2 * sa * sb
-            key = (a_part + (1,) * ra, b_part + (1,) * rb)
-            pair = pairs.get(key)
-            if pair is None:
-                pairs[key] = [top, most + 1]
-            else:
-                if top > pair[0]:
-                    pair[0] = top
-                pair[1] += most + 1
+        if length <= 3:
+            # p alpha(1) rows (aba) and q beta(1) rows (bab), then the
+            # ra1, rb1 letters left make m = 0..most epsilon(1) pairs and
+            # single letters, all adding parts 1: most + 1 diagrams of one
+            # pair.  A further epsilon pair, from ta, tb >= 2 single
+            # letters, raises the weight by 4(ta + tb - 3) > 0, so the
+            # most pairs weigh most.  Below length 3, p = q = 0 only.
+            # Every a outside the alpha rows is a part 1, so the
+            # a-partition depends on p alone, the b-partition on q alone.
+            b_keys = [b_part + (2,) * q + (1,) * (rb - 2 * q)
+                      for q in range(min(ra, rb // 2) + 1)]
+            for p in range(min(ra // 2, rb), -1, -1):
+                sa, sb = ra - 2 * p, rb - p
+                a_key = a_part + (2,) * p + (1,) * sa
+                for q in range(min(sa, sb // 2), -1, -1):
+                    ra1, rb1 = sa - q, sb - 2 * q
+                    most = min(ra1, rb1) // 2
+                    ta, tb = ra1 - 2 * most, rb1 - 2 * most
+                    top = weight4 + p + q - 2 * p * q + ta + tb - 2 * ta * tb
+                    key = (a_key, b_keys[q])
+                    pair = pairs.get(key)
+                    if pair is None:
+                        pairs[key] = [top, most + 1]
+                    else:
+                        if top > pair[0]:
+                            pair[0] = top
+                        pair[1] += most + 1
             return
         k = length // 2
         if length % 2 == 0:

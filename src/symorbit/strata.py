@@ -76,10 +76,8 @@ class StrataSpec:
 def strata_spec(lam: Partition) -> StrataSpec:
     if not lam:
         raise ValueError("the empty partition has no stratum data")
-    cols = dual(lam)
-    t = lam[0]
-    dims = tuple(sum(cols[i:]) for i in range(t + 1))
-    return StrataSpec(tuple(lam), t, dims)
+    dims = tuple(accumulate(reversed(dual(lam)), initial=0))[::-1]  # suffix sums of the columns
+    return StrataSpec(tuple(lam), lam[0], dims)
 
 
 def tau_zero(lam: Partition) -> TauString:
@@ -139,6 +137,12 @@ def _orbit2(mu: Partition) -> int:
     """Twice the orbit dimension, with the squared columns of mu summed
     over its rows (see dim_orbit)."""
     return sum(mu) ** 2 - sum((2 * i + 1) * part for i, part in enumerate(mu))
+
+
+@lru_cache(maxsize=None)
+def _orbit2s(n: int) -> tuple[int, ...]:
+    """_orbit2 of every partition of n, indexed like _partitions(n)."""
+    return tuple(map(_orbit2, _partitions(n)))
 
 
 def dim_orbit(lam: Partition) -> Fraction:
@@ -414,15 +418,22 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     _witnesses rebuilds a maximal label where one is needed.  It
     validates lam and applies the size bound as enumerate_lambda does.
     """
+    return {mu: OrbitSummary(max_dim4, count) for mu, max_dim4, count in _orbit_tops(lam, bound)}
+
+
+def _orbit_tops(lam: Partition, bound: int | None = None) -> list[tuple[Partition, int, int]]:
+    """orbit_extremes as flat (mu, max_dim4, count) triples, in its order.
+
+    Each triple is read straight from _raw: the orbit dimension comes
+    from the per-size _orbit2s by the orbit's index, so no orbit is
+    hashed and no summary is built.  lam is checked as orbit_extremes
+    checks it.
+    """
     lam = _checked(lam, bound)
     dims = strata_spec(lam).dims
     bulk4 = _bulk4(dims)
-    parts = _partitions(dims[0])
-    summaries = {}
-    for i, (top, count) in _raw(lam).items():
-        mu = parts[i]
-        summaries[mu] = OrbitSummary(_orbit2(mu) + bulk4 + top, count)
-    return summaries
+    parts, orbit2s = _partitions(dims[0]), _orbit2s(dims[0])
+    return [(parts[i], orbit2s[i] + bulk4 + top, count) for i, (top, count) in _raw(lam).items()]
 
 
 @lru_cache(maxsize=1)

@@ -40,13 +40,13 @@ from .partitions import (
     s_step,
 )
 from .strata import (
+    _orbit_tops,
     _weight4,
     _witnesses,
     dim_M,
     dim_N,
     dim_stratum,
     lambda_bound,
-    orbit_extremes,
     sigma_zero,
     strata_spec,
     tau_zero,
@@ -139,15 +139,17 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
     return NormalityVerdict(lam, witness is None, witness, gap)
 
 
-def _orbit_gaps(lam: Partition, bound: int | None = None):
-    """Per orbit mu <= lam, lam's own included: (mu, worst gap in quarter-units,
-    label count), from the (max, count) values of orbit_extremes; no label
-    is built unless _label_record asks for a witness.  The top stratum
-    comes from dim_stratum, not the fold; as a quarter-integer, four times
-    it has denominator 1."""
-    top4 = (dim_stratum(tau_zero(lam), strata_spec(lam)) * 4).numerator
-    for mu, summary in orbit_extremes(lam, bound).items():
-        yield mu, top4 - summary.max_dim4, summary.count
+def _orbit_gaps(lam: Partition, bound: int | None = None) -> list[tuple[Partition, int, int]]:
+    """Per orbit mu <= lam, lam's own included, in orbit_extremes order:
+    (mu, worst gap in quarter-units, label count), from the flat
+    (mu, max, count) triples of _orbit_tops; no label is built unless
+    _label_record asks for a witness.  The top stratum comes from
+    dim_stratum, not the fold, and must be a quarter-integer."""
+    top = dim_stratum(tau_zero(lam), strata_spec(lam)) * 4
+    if top.denominator != 1:
+        raise AssertionError(f"the top stratum of {lam} should be a quarter-integer")
+    top4 = top.numerator
+    return [(mu, top4 - max_dim4, count) for mu, max_dim4, count in _orbit_tops(lam, bound)]
 
 
 def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:

@@ -192,6 +192,10 @@ class TestStrataSpec:
             positive = [d for d in dims if d > 0]
             assert positive == sorted(positive, reverse=True)
             assert len(set(positive)) == len(positive)  # strictly decreasing until 0
+        # n_i is the number of boxes right of column i: a slice sum of the columns
+        for lam in partitions_upto(12):
+            cols = dual(lam)
+            assert strata_spec(lam).dims == tuple(sum(cols[i:]) for i in range(lam[0] + 1))
 
 
 class TestTauZero:
@@ -405,6 +409,10 @@ class TestDimensions:
         for lam in partitions_upto(12):
             n = sum(lam)
             assert dim_orbit(lam) == Fraction(n * n - sum(c * c for c in dual(lam)), 2)
+        # the per-size table the gap checks read, entry by entry in _partitions order
+        for n in range(17):
+            expected = tuple(n * n - sum(c * c for c in dual(mu)) for mu in enumerate_partitions(n))
+            assert strata._orbit2s(n) == expected
 
     def test_dim_m_dim_n_examples(self):
         assert (dim_M((2, 1)), dim_N((2, 1))) == (3, 1)

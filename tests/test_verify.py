@@ -474,6 +474,16 @@ class TestQuarterThresholds:
             assert len(found) == k
         assert (found[0]["gap_num4"], found[0]["required_num4"]) == (3, 4)
 
+    def test_non_quarter_top_fails_loudly(self, monkeypatch):
+        # a top stratum off the quarter grid is a fault, not a gap to round
+        dim = verify.dim_stratum
+        monkeypatch.setattr(verify, "dim_stratum",
+                            lambda tau, spec: dim(tau, spec) - Fraction(1, 8))
+        with pytest.raises(AssertionError, match="quarter-integer"):
+            minimum_stratum_gap((2, 1))
+        with pytest.raises(AssertionError, match="quarter-integer"):
+            check_ci_condition((2, 1))
+
 
 def _clear_caches():
     for module in (abdiagrams, partitions, strata, verify):
@@ -504,12 +514,12 @@ class TestExtremesMemo:
             assert list(largest_first[lam].items()) == list(smallest_first[lam].items())
 
     def test_cleared_by_clear_caches(self):
-        caches = (strata._index, strata._pairs, strata._raw)
+        caches = (strata._index, strata._pairs, strata._raw, strata._orbit2s)
         _clear_caches()
         run_all(5)
         assert all(cache.cache_info().currsize > 0 for cache in caches)
         _clear_caches()
-        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0]
+        assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
 
 
 class TestChainMemos:
