@@ -212,12 +212,11 @@ def enumerate_all_diagrams(na: int, nb: int) -> tuple[Diagram, ...]:
     """Every diagram (ortho-symmetric or not) with exactly na a's and nb b's,
     in diagram_key order.
 
-    The walk has _ortho's shape: row lengths from longest to shortest,
-    each step starting at the longest row the letters left still fit.
-    A length takes p a-led rows, then q b-led rows, both counts running
-    downwards, and at length 1 the letters left become single-letter
-    rows.  More rows of a length, a-led ones first, come first, which is
-    diagram_key order.
+    The brute side of the piece walk (_pieces), sharing no code with it:
+    row lengths from longest to shortest, each count running downwards.
+    A length takes p a-led rows, then q b-led rows, and at length 1 the
+    letters left become single-letter rows.  More rows of a length,
+    a-led ones first, come first, which is diagram_key order.
     """
     _check_letters(na, nb)
     out: list[Diagram] = []
@@ -258,34 +257,32 @@ def _check_letters(na: int, nb: int) -> None:
         raise ValueError(f"{na + nb} letters exceed the bound {LETTER_BOUND}")
 
 
-def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
-    """Every ortho-symmetric diagram with na a's and nb b's, with its
-    o - 2*Delta, a_partition and b_partition, in diagram_key order.
+def _pieces(na: int, nb: int, leaf) -> None:
+    """Walk the ortho-symmetric diagrams with na a's and nb b's by their
+    pieces, in diagram_key order, down to rows of length 3.
 
     Row lengths are walked from longest to shortest, each step starting
     at the longest row the letters left still fit.  An odd length 2k+1
-    takes p alpha(k) rows, then q beta(k) rows, and adds p + q - 2pq; an
-    even length 2k takes m epsilon(k) pairs; at length 1 the letters left
-    become single-letter rows.  Each count runs downwards, so diagrams
-    with more rows of a length, a-led ones first, come first: that is
-    diagram_key order, since no diagram's rows are a prefix of another's.
-    Both partitions grow as the rows do and need no sort: an odd length
-    appends alpha's k+1 before beta's k a's, and beta's k+1 before
-    alpha's k b's, so each stays non-increasing; length-1 rows add ones.
-    This walk feeds the listings, enumerate_ortho and the label
-    witnesses; _ortho_pairs repeats it for the extremes' pair tables
-    without building the diagrams.
+    takes p alpha(k) rows, then q beta(k) rows, and adds p + q - 2pq to
+    o - 2*Delta; an even length 2k takes m epsilon(k) pairs.  Each count
+    runs downwards, so diagrams with more rows of a length, a-led ones
+    first, come first: that is diagram_key order, since no diagram's
+    rows are a prefix of another's.  Both partitions grow as the rows do
+    and need no sort: an odd length appends alpha's k+1 before beta's k
+    a's, and beta's k+1 before alpha's k b's.  Where no row longer than
+    3 fits, leaf(rows, ra, rb, weight4, a_part, b_part) loops over p
+    aba rows, q bab rows, m epsilon(1) pairs and single letters, counts
+    running downwards (below length 3, no aba or bab fits).  Every a
+    outside the aba rows is a part 1, so there the a-partition depends
+    on p alone, the b-partition on q alone.
     """
     _check_letters(na, nb)
-    out: list[tuple[Diagram, int, Partition, Partition]] = []
 
     def walk(length: int, rows: Diagram, ra: int, rb: int, weight4: int,
              a_part: Partition, b_part: Partition) -> None:
         length = min(length, 2 * min(ra, rb) + 1)
-        if length <= 1:
-            ones = (("a", 1),) * ra + (("b", 1),) * rb
-            out.append((rows + ones, weight4 + ra + rb - 2 * ra * rb,
-                        a_part + (1,) * ra, b_part + (1,) * rb))
+        if length <= 3:
+            leaf(rows, ra, rb, weight4, a_part, b_part)
             return
         a_row, b_row = ("a", length), ("b", length)
         k = length // 2  # alpha(k) has k + 1 a's and k b's, beta(k) the reverse
@@ -303,69 +300,71 @@ def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
                      a_part + (k + 1,) * p + (k,) * q, b_part + (k + 1,) * q + (k,) * p)
 
     walk(na + nb, (), na, nb, 0, (), ())
+
+
+def _ortho(na: int, nb: int) -> list[tuple[Diagram, int, Partition, Partition]]:
+    """Every ortho-symmetric diagram with na a's and nb b's, with its
+    o - 2*Delta, a_partition and b_partition, in diagram_key order: the
+    piece walk (_pieces) with a leaf that builds each diagram.  This
+    feeds the listings, enumerate_ortho and the label witnesses.
+    """
+    out: list[tuple[Diagram, int, Partition, Partition]] = []
+    aba, bab, ab2, ba2, a1, b1 = ("a", 3), ("b", 3), ("a", 2), ("b", 2), ("a", 1), ("b", 1)
+
+    def leaf(rows: Diagram, ra: int, rb: int, weight4: int,
+             a_part: Partition, b_part: Partition) -> None:
+        for p in range(min(ra // 2, rb), -1, -1):
+            sa, sb = ra - 2 * p, rb - p
+            a_key = a_part + (2,) * p + (1,) * sa
+            for q in range(min(sa, sb // 2), -1, -1):
+                ra1, rb1 = sa - q, sb - 2 * q
+                head = rows + (aba,) * p + (bab,) * q
+                pq = weight4 + p + q - 2 * p * q
+                b_key = b_part + (2,) * q + (1,) * (rb - 2 * q)
+                for m in range(min(ra1, rb1) // 2, -1, -1):
+                    ta, tb = ra1 - 2 * m, rb1 - 2 * m
+                    out.append((head + (ab2,) * m + (ba2,) * m + (a1,) * ta + (b1,) * tb,
+                                pq + ta + tb - 2 * ta * tb, a_key, b_key))
+
+    _pieces(na, nb, leaf)
     return out
 
 
 def _ortho_pairs(na: int, nb: int) -> dict[tuple[Partition, Partition], list[int]]:
     """The ortho-symmetric diagrams with na a's and nb b's grouped by
     (a_partition, b_partition): per pair [largest o - 2*Delta, number of
-    diagrams], keyed in the order of each pair's first diagram in
-    diagram_key order.
-
-    The walk is _ortho's, lengths longest first and each count p, q, m
-    running downwards, but it carries only the letters left, the weight
-    and the two partitions, so no diagram tuple is built.  It stops at
-    length 3: each (p, q) there fixes one pair for all the diagrams
-    below it, whose first weighs most, so the rows of length 2 and 1
-    are counted in the loop body, not walked.
+    diagrams], keyed in the order of each pair's first diagram: the
+    piece walk (_pieces) with a leaf that builds no diagram.
     """
-    _check_letters(na, nb)
     pairs: dict[tuple[Partition, Partition], list[int]] = {}
 
-    def walk(length: int, ra: int, rb: int, weight4: int,
+    def leaf(rows: Diagram, ra: int, rb: int, weight4: int,
              a_part: Partition, b_part: Partition) -> None:
-        length = min(length, 2 * min(ra, rb) + 1)
-        if length <= 3:
-            # p alpha(1) rows (aba) and q beta(1) rows (bab), then the
-            # ra1, rb1 letters left make m = 0..most epsilon(1) pairs and
-            # single letters, all adding parts 1: most + 1 diagrams of one
-            # pair.  A further epsilon pair, from ta, tb >= 2 single
-            # letters, raises the weight by 4(ta + tb - 3) > 0, so the
-            # most pairs weigh most.  Below length 3, p = q = 0 only.
-            # Every a outside the alpha rows is a part 1, so the
-            # a-partition depends on p alone, the b-partition on q alone.
-            b_keys = [b_part + (2,) * q + (1,) * (rb - 2 * q)
-                      for q in range(min(ra, rb // 2) + 1)]
-            for p in range(min(ra // 2, rb), -1, -1):
-                sa, sb = ra - 2 * p, rb - p
-                a_key = a_part + (2,) * p + (1,) * sa
-                for q in range(min(sa, sb // 2), -1, -1):
-                    ra1, rb1 = sa - q, sb - 2 * q
-                    most = min(ra1, rb1) // 2
-                    ta, tb = ra1 - 2 * most, rb1 - 2 * most
-                    top = weight4 + p + q - 2 * p * q + ta + tb - 2 * ta * tb
-                    key = (a_key, b_keys[q])
-                    pair = pairs.get(key)
-                    if pair is None:
-                        pairs[key] = [top, most + 1]
-                    else:
-                        if top > pair[0]:
-                            pair[0] = top
-                        pair[1] += most + 1
-            return
-        k = length // 2
-        if length % 2 == 0:
-            for m in range(min(ra, rb) // length, -1, -1):
-                walk(length - 1, ra - m * length, rb - m * length, weight4,
-                     a_part + (k,) * (2 * m), b_part + (k,) * (2 * m))
-            return
-        for p in range(min(ra // (k + 1), rb // k), -1, -1):
-            sa, sb = ra - p * (k + 1), rb - p * k
-            for q in range(min(sa // k, sb // (k + 1)), -1, -1):
-                walk(length - 1, sa - q * k, sb - q * (k + 1), weight4 + p + q - 2 * p * q,
-                     a_part + (k + 1,) * p + (k,) * q, b_part + (k + 1,) * q + (k,) * p)
+        # each (p, q) fixes one pair for the diagrams below it: the ra1,
+        # rb1 letters left make m = 0..most epsilon(1) pairs, most + 1
+        # diagrams.  A further epsilon pair, from ta, tb >= 2 single
+        # letters, raises the weight by 4(ta + tb - 3) > 0, so the most
+        # pairs weigh most, and the rows of length 2 and 1 are counted.
+        b_keys = [b_part + (2,) * q + (1,) * (rb - 2 * q)
+                  for q in range(min(ra, rb // 2) + 1)]
+        for p in range(min(ra // 2, rb), -1, -1):
+            sa, sb = ra - 2 * p, rb - p
+            a_key = a_part + (2,) * p + (1,) * sa
+            for q in range(min(sa, sb // 2), -1, -1):
+                ra1, rb1 = sa - q, sb - 2 * q
+                most = min(ra1, rb1) // 2
+                ta, tb = ra1 - 2 * most, rb1 - 2 * most
+                top = weight4 + p + q - 2 * p * q + ta + tb - 2 * ta * tb
+                key = (a_key, b_keys[q])
+                pair = pairs.get(key)
+                if pair is None:
+                    pairs[key] = [top, most + 1]
+                else:
+                    if top > pair[0]:
+                        pair[0] = top
+                    pair[1] += most + 1
 
-    walk(na + nb, na, nb, 0, (), ())
+    _pieces(na, nb, leaf)
     return pairs
 
 

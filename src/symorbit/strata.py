@@ -187,8 +187,8 @@ def is_valid_tau_string(tau: TauString, spec: StrataSpec) -> bool:
 def _weight4(diagram: ab.Diagram) -> int:
     """Four times a diagram's share of the stratum dimension, o - 2*Delta;
     cached, as dim_stratum and augmentation checks share diagrams.  Fold
-    edges and pair tables get the same weight from the piece walks
-    (ab._ortho, ab._ortho_pairs) instead."""
+    edges and pair tables get the same weight from the piece walk's two
+    leaves (ab._ortho, ab._ortho_pairs) instead."""
     return ab.o_stat(diagram) - 2 * ab.delta_stat(diagram)
 
 
@@ -366,10 +366,9 @@ def _pairs(na: int, nb: int) -> tuple[_Pair, ...]:
     diagrams, in the order of their first diagram (ab._ortho_pairs).
 
     Partitions are replaced by their _index positions, so a fold step
-    hashes small ints.  ab._ortho_pairs walks the pieces without
-    building diagrams, separately from the ab._ortho walk behind
-    _edges, so the two tables check each other.  It is looked up at
-    call time, so a patched walk reaches this table.
+    hashes small ints.  ab._ortho_pairs is the piece walk's leaf that
+    builds no diagram; ab._ortho, behind _edges, is its other leaf.
+    It is looked up at call time, so a patched walk reaches this table.
     """
     a_index, b_index = _index(na), _index(nb)
     return tuple((a_index[a_part], b_index[b_part], top, mult)

@@ -144,12 +144,13 @@ def _orbit_gaps(lam: Partition, bound: int | None = None) -> list[tuple[Partitio
     (mu, worst gap in quarter-units, label count), from the flat
     (mu, max, count) triples of _orbit_tops; no label is built unless
     _label_record asks for a witness.  The top stratum comes from
-    dim_stratum, not the fold, and must be a quarter-integer."""
+    dim_stratum, not the fold, once _orbit_tops has checked lam."""
+    tops = _orbit_tops(lam, bound)
     top = dim_stratum(tau_zero(lam), strata_spec(lam)) * 4
     if top.denominator != 1:
         raise AssertionError(f"the top stratum of {lam} should be a quarter-integer")
     top4 = top.numerator
-    return [(mu, top4 - max_dim4, count) for mu, max_dim4, count in _orbit_tops(lam, bound)]
+    return [(mu, top4 - max_dim4, count) for mu, max_dim4, count in tops]
 
 
 def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:

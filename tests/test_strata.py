@@ -369,6 +369,25 @@ class TestEdges:
             _pairs.cache_clear()
         assert total == 44512 + 2563 + 3998 + 6140
 
+    def test_pairs_against_all_diagrams(self):
+        # the pair tables against brute_edges, which shares no code with
+        # the piece walk, in first-diagram order, on every table of <= 22
+        # letters; then free the caches both fill
+        tables = total = 0
+        try:
+            for letters in range(23):
+                for na in range(letters + 1):
+                    nb = letters - na
+                    a_parts, b_parts = enumerate_partitions(na), enumerate_partitions(nb)
+                    got = [((a_parts[a], b_parts[b]), (mult, top))
+                           for a, b, top, mult in _pairs(na, nb)]
+                    assert got == list(brute_edges(na, nb).items())
+                    tables += 1
+                    total += sum(mult for _, (mult, _) in got)
+        finally:
+            _clear_caches()
+        assert (tables, total) == (276, 18693)
+
 
 class TestLambdaBound:
     def test_default_and_precedence(self, monkeypatch):

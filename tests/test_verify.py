@@ -883,6 +883,17 @@ def test_malformed_partition_rejected(lam, name):
         MALFORMED_CALLS[name](lam)
 
 
+@pytest.mark.parametrize("name", MALFORMED_CALLS)
+@pytest.mark.parametrize("lam, message", [((2.0, 1), "positive integers, got 2.0$"),
+                                          ((1, 2), r"weakly decreasing, got \(1, 2\)$")],
+                         ids=["float_part", "increasing"])
+def test_partition_checked_before_use(lam, message, name):
+    # lam is checked before any label is built from it, so every call
+    # gives check_partition's message, not an error from the top label
+    with pytest.raises(ValueError, match=message):
+        MALFORMED_CALLS[name](lam)
+
+
 @pytest.mark.parametrize("lam", [(2, 2, 1), (3, 2), (2, 1, 1, 1)])
 def test_list_of_parts_matches_tuple(lam):
     for name, call in PARTITION_CALLS.items():
