@@ -39,6 +39,17 @@ def _ints(values, pad: str) -> str:
     return f"[\n{pad}  " + f",\n{pad}  ".join(map(str, values)) + f"\n{pad}]"
 
 
+def _write_list(write, items) -> None:
+    """Write json.dumps(indent=2)'s text of a list member of the top-level
+    object, from its items' texts (each indented as a list item): one
+    write per item, and "[]" when there are none."""
+    lead = "[\n    "
+    for item in items:
+        write(lead + item)
+        lead = ",\n    "
+    write("[]" if lead == "[\n    " else "\n  ]")
+
+
 def _cmd_normal(args) -> int:
     lam = parse_partition(args.partition)
     verdict = verify.is_normal(lam, certify=args.certify)
@@ -73,28 +84,22 @@ def _cmd_normal(args) -> int:
 
 def _cmd_strata(args) -> int:
     """Write strata_report(lam) as _write_json or as text lines would, one
-    write per row of strata._rows, so the table is never held whole."""
+    write per row of strata._rows, so the table is never held whole; the
+    JSON members around the rows are fixed, in json.dumps's key order."""
     lam = parse_partition(args.partition)
     rows = _rows(lam)  # checks lam before anything is written
     fields = _fields(lam)
     write = sys.stdout.write
     if args.format == "json":
-        members = [f'"{key}": ' + (_ints(value, "  ") if type(value) is list else str(value))
-                   for key, value in sorted(fields.items())]
-        cut = sum(key < "strata" for key in fields)
-        write("{\n  " + "".join(member + ",\n  " for member in members[:cut]) + '"strata": [')
+        write(f'{{\n  "dimM": {fields["dimM"]},\n  "dimN": {fields["dimN"]},\n  "dims": '
+              f'{_ints(fields["dims"], "  ")},\n  "lambda": {_ints(fields["lambda"], "  ")},\n  "strata": ')
         arrays = {}  # per orbit, the text of its parts
-        lead = "\n    "
-        for texts, mu, dim4 in rows:
-            array = arrays.get(mu)
-            if array is None:
-                array = arrays[mu] = _ints(mu, "      ")
-            write(f'{lead}{{\n      "dim_num4": {dim4},\n      "mu": {array},\n      "tau": [\n        '
-                  + ",\n        ".join(map(encode_basestring_ascii, texts))
-                  + "\n      ]\n    }")
-            lead = ",\n    "
-        write(("]" if lead == "\n    " else "\n  ]")
-              + "".join(",\n  " + member for member in members[cut:]) + "\n}\n")
+        _write_list(write, (
+            f'{{\n      "dim_num4": {dim4},\n      "mu": '
+            f'{arrays.get(mu) or arrays.setdefault(mu, _ints(mu, "      "))},\n      "tau": [\n        '
+            + ",\n        ".join(map(encode_basestring_ascii, texts)) + "\n      ]\n    }"
+            for texts, mu, dim4 in rows))
+        write(f',\n  "t": {fields["t"]}\n}}\n')
         return 0
     write(f"lambda={format_partition(lam)}  n={sum(lam)}  t={fields['t']}"
           f"  dims={','.join(map(str, fields['dims']))}"
@@ -133,16 +138,12 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
-def _poset_data(n: int) -> tuple[list[dict], list[tuple[str, str]]]:
+def _poset_data(n: int) -> tuple[list[tuple[str, bool, int]], list[tuple[str, str]]]:
+    """The dominance poset of P(n): per partition, in enumeration order,
+    (name, normal, dim_orbit); and the covers as (name, name), in
+    dominance_covers order."""
     names = {lam: format_partition(lam) for lam in enumerate_partitions(n)}
-    nodes = [
-        {
-            "partition": name,
-            "normal": s_step(lam, 1),
-            "dim_orbit": int(dim_orbit(lam)),
-        }
-        for lam, name in names.items()
-    ]
+    nodes = [(name, s_step(lam, 1), int(dim_orbit(lam))) for lam, name in names.items()]
     edges = [(names[lam], names[mu]) for lam, mu in dominance_covers(n)]
     return nodes, edges
 
@@ -156,37 +157,27 @@ def _cmd_poset(args) -> int:
         # json.dumps(sort_keys=True, indent=2)'s bytes, one write per edge and per
         # node; partition names are digits and commas, so they need no escaping
         write = sys.stdout.write
-        write('{\n  "edges": [')
-        lead = "\n    "
-        for src, dst in edges:
-            write(f'{lead}[\n      "{src}",\n      "{dst}"\n    ]')
-            lead = ",\n    "
-        write(("]" if lead == "\n    " else "\n  ]") + f',\n  "n": {n},\n  "nodes": [')
-        lead = "\n    "
-        for node in nodes:
-            write(f'{lead}{{\n      "dim_orbit": {node["dim_orbit"]},\n      "normal": '
-                  f'{"true" if node["normal"] else "false"},\n      "partition": "{node["partition"]}"\n    }}')
-            lead = ",\n    "
-        write("\n  ]\n}\n")
+        write('{\n  "edges": ')
+        _write_list(write, (f'[\n      "{src}",\n      "{dst}"\n    ]' for src, dst in edges))
+        write(f',\n  "n": {n},\n  "nodes": ')
+        _write_list(write, (f'{{\n      "dim_orbit": {dim},\n      "normal": {"true" if normal else "false"}'
+                            f',\n      "partition": "{name}"\n    }}' for name, normal, dim in nodes))
+        write("\n}\n")
         return 0
+    tags = ("not normal", "normal")
     if args.format == "dot":
         lines = [f'digraph "dominance_{n}" {{']
-        for node in nodes:
-            shape = "box" if node["normal"] else "ellipse"
-            tag = "normal" if node["normal"] else "not normal"
-            lines.append(
-                f'  "{node["partition"]}" [shape={shape},'
-                f' label="{node["partition"]}\\ndim={node["dim_orbit"]} {tag}"];'
-            )
+        for name, normal, dim in nodes:
+            lines.append(f'  "{name}" [shape={"box" if normal else "ellipse"},'
+                         f' label="{name}\\ndim={dim} {tags[normal]}"];')
         for src, dst in edges:
             lines.append(f'  "{src}" -> "{dst}";')
         lines.append("}")
         print("\n".join(lines))
         return 0
     print(f"dominance order on partitions of {n}: {len(nodes)} nodes, {len(edges)} edges")
-    for node in nodes:
-        tag = "normal" if node["normal"] else "not normal"
-        print(f"  {node['partition']:<12} dim={node['dim_orbit']:<4} {tag}")
+    for name, normal, dim in nodes:
+        print(f"  {name:<12} dim={dim:<4} {tags[normal]}")
     for src, dst in edges:
         print(f"  {src} > {dst}")
     return 0

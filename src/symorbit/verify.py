@@ -117,8 +117,11 @@ def normality_witness(lam: Partition) -> int | None:
 
 
 def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | None:
-    """Smallest dimension drop from the maximal-rank stratum to any other."""
+    """Smallest dimension drop from the maximal-rank stratum to any other;
+    None when there is no other orbit, as for (1^n) and the empty partition."""
     lam = tuple(lam)
+    if not lam:
+        return None
     gap4 = min((gap4 for mu, gap4, *_ in _orbit_gaps(lam, bound) if mu != lam), default=None)
     return None if gap4 is None else Fraction(gap4, 4)
 
@@ -128,13 +131,14 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
 
     With certify=True the verdict also carries the minimum stratum gap as
     a certificate.  gap_certificate is None in three cases: certify is
-    off, |lam| exceeds the bound, or lam = (1^n) has no other orbit; so a
-    caller telling them apart compares |lam| with lambda_bound(bound).
+    off, |lam| exceeds the bound, or lam = (1^n), n >= 0, has no other
+    orbit; so a caller telling them apart compares |lam| with
+    lambda_bound(bound).
     """
     lam = check_partition(lam)
     witness = normality_witness(lam)
     gap = None
-    if certify and lam and sum(lam) <= lambda_bound(bound):
+    if certify and sum(lam) <= lambda_bound(bound):
         gap = minimum_stratum_gap(lam, bound)
     return NormalityVerdict(lam, witness is None, witness, gap)
 

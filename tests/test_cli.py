@@ -18,7 +18,9 @@ from symorbit.verify import SUITES
 
 def poset_payload(n):
     nodes, edges = cli._poset_data(n)
-    return {"n": n, "nodes": nodes, "edges": [list(e) for e in edges]}
+    return {"n": n, "edges": [list(e) for e in edges],
+            "nodes": [{"partition": name, "normal": normal, "dim_orbit": dim}
+                      for name, normal, dim in nodes]}
 
 
 def run(capsys, *argv):
@@ -287,6 +289,19 @@ class TestPoset:
         assert lines[12:] == edges
         # (4,2) covers (4,1,1) and (3,3), in enumeration order
         assert edges[2:4] == ["  4,2 > 4,1,1", "  4,2 > 3,3"]
+
+    # sha256 of `poset 10` in each format; any change to a node line, a
+    # label, a tag or the edge order moves it
+    POSET_10_DIGESTS = {
+        "text": "90bee68d59894e9adc242bcadb2f168192ca905ad7f9ae3b3459dc5e534cdc1a",
+        "dot": "8da430eb535c66d12f005b91db1bd6f3a3db3993fb35656b9401fda8cabf5de0",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(POSET_10_DIGESTS))
+    def test_poset_10_pinned(self, capsys, fmt):
+        code, out, _ = run(capsys, "poset", "10", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.POSET_10_DIGESTS[fmt]
 
     def test_single_node(self, capsys):
         code, out, _ = run(capsys, "poset", "1")

@@ -347,9 +347,10 @@ class TestEdges:
         assert total == 10535
 
     def test_pairs_regroup_edges_past_20_letters(self):
-        # _pairs comes from its own walk (ab._ortho_pairs), _edges from
-        # ab._ortho; compare them on the tables of 21..26 letters and on
-        # the largest tables certify (14)..(16) builds, then free both
+        # _pairs comes from the pair table leaf of ab._pieces
+        # (ab._ortho_pairs), _edges from its diagram table leaf (ab._ortho);
+        # compare them on the tables of 21..26 letters and on the largest
+        # tables certify (14)..(16) builds, then free both
         sizes = [(na, letters - na) for letters in range(21, 27) for na in range(letters + 1)]
         sizes += [(14, 13), (15, 14), (16, 15)]
         total = 0

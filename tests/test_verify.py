@@ -118,6 +118,14 @@ class TestMinimumGap:
         assert minimum_stratum_gap((1, 1)) is None
         assert minimum_stratum_gap((2,)) == 1
 
+    def test_empty_partition_has_no_gap(self):
+        # like (1^n), the empty partition has no other orbit, so every gap
+        # entry point answers alike: no gap, no certificate, a skipped check
+        assert minimum_stratum_gap(()) is None
+        assert minimum_stratum_gap([]) is None
+        assert is_normal((), certify=True).gap_certificate is None
+        assert check_normality_gap(()).status == check_ci_condition(()).status == "skipped"
+
     def test_fraction_valued(self):
         for lam in [(2, 1), (2,), (3, 1), (4, 2, 1), (5,)]:
             assert isinstance(minimum_stratum_gap(lam), Fraction)
@@ -718,8 +726,9 @@ def _two_rows_indecomposable(monkeypatch):
 
 
 def _two_row_weight_up(monkeypatch):
-    # the extremes' pair tables come from their own walk, so it is
-    # replaced by the faulted listing walk grouped by (a, b)
+    # the extremes' pair tables come from the pair table leaf of
+    # abdiagrams._pieces, which builds no diagram, so that leaf is replaced
+    # by the faulted diagram table leaf's listing grouped by (a, b)
     ortho = abdiagrams._ortho
 
     def faulted(na, nb):
