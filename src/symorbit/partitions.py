@@ -57,10 +57,10 @@ def format_partition(lam: Partition) -> str:
 
 
 def dual(lam: Partition) -> Partition:
-    """Transpose of the Young diagram: entry j counts the parts >= j."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Transpose of the Young diagram: entry j counts the parts >= j, so
+    columns lam_{k+1} + 1 .. lam_k have length k (lam_{l+1} = 0 past row l)."""
+    padded = (*lam, 0)
+    return tuple(k for k in range(len(lam), 0, -1) for _ in range(padded[k - 1] - padded[k]))
 
 
 def dominates(lam: Partition, mu: Partition) -> bool:

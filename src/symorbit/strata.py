@@ -204,19 +204,27 @@ def _bulk4(dims: tuple[int, ...]) -> int:
     return sum(2 * a * b - a - b for a, b in zip(dims, dims[1:]))
 
 
+@lru_cache(maxsize=None)
+def _letters(diagram: ab.Diagram) -> tuple[int, int]:
+    """A diagram's (a_count, b_count), counted once per diagram: the
+    columns of tau_zero recur across every lam that shares them."""
+    return ab.a_count(diagram), ab.b_count(diagram)
+
+
 def dim_stratum(tau: TauString, spec: StrataSpec) -> Fraction:
     """Exact stratum dimension from the label.
 
     Half the orbit dimension, plus the per-edge bulk term
     n_i n_{i+1}/2 - (n_i + n_{i+1})/4, plus per-diagram corrections
     o/4 - Delta/2 counting odd rows and mixed odd pairs (the cached
-    _weight4).  _rows gets the same sum from the label fold.
+    _weight4).  _rows gets the same sum from the label fold.  Every
+    call checks each column's cached letter counts against the spec.
     """
     dims = spec.dims
     if len(tau) != spec.t:
         raise ValueError(f"label has {len(tau)} columns, spec wants {spec.t}")
     for i, diagram in enumerate(tau):
-        na, nb = ab.a_count(diagram), ab.b_count(diagram)
+        na, nb = _letters(diagram)
         if na != dims[i] or nb != dims[i + 1]:
             raise ValueError(
                 f"column {i + 1} has letters ({na}, {nb}),"
@@ -417,22 +425,24 @@ def orbit_extremes(lam: Partition, bound: int | None = None) -> dict[Partition, 
     _witnesses rebuilds a maximal label where one is needed.  It
     validates lam and applies the size bound as enumerate_lambda does.
     """
-    return {mu: OrbitSummary(max_dim4, count) for mu, max_dim4, count in _orbit_tops(lam, bound)}
+    spec = strata_spec(_checked(lam, bound))
+    return {mu: OrbitSummary(-gap4, count) for mu, gap4, count in _orbit_tops(spec, 0)}
 
 
-def _orbit_tops(lam: Partition, bound: int | None = None) -> list[tuple[Partition, int, int]]:
-    """orbit_extremes as flat (mu, max_dim4, count) triples, in its order.
+def _orbit_tops(spec: StrataSpec, top4: int) -> list[tuple[Partition, int, int]]:
+    """Per orbit of spec.lam, in orbit_extremes order: (mu, top4 less the
+    orbit's largest stratum dimension in quarter-units, label count).
 
-    Each triple is read straight from _raw: the orbit dimension comes
-    from the per-size _orbit2s by the orbit's index, so no orbit is
-    hashed and no summary is built.  lam is checked as orbit_extremes
-    checks it.
+    Each triple is read straight from _raw in one pass: the orbit
+    dimension comes from the per-size _orbit2s by the orbit's index, so
+    no orbit is hashed and no summary is built.  spec.lam must be one
+    that orbit_extremes accepts.
     """
-    lam = _checked(lam, bound)
-    dims = strata_spec(lam).dims
-    bulk4 = _bulk4(dims)
+    dims = spec.dims
+    base4 = top4 - _bulk4(dims)
     parts, orbit2s = _partitions(dims[0]), _orbit2s(dims[0])
-    return [(parts[i], orbit2s[i] + bulk4 + top, count) for i, (top, count) in _raw(lam).items()]
+    return [(parts[i], base4 - orbit2s[i] - top, count)
+            for i, (top, count) in _raw(spec.lam).items()]
 
 
 @lru_cache(maxsize=1)

@@ -40,6 +40,7 @@ from .partitions import (
     s_step,
 )
 from .strata import (
+    _checked,
     _orbit_tops,
     _weight4,
     _witnesses,
@@ -122,7 +123,7 @@ def minimum_stratum_gap(lam: Partition, bound: int | None = None) -> Fraction | 
     lam = tuple(lam)
     if not lam:
         return None
-    gap4 = min((gap4 for mu, gap4, *_ in _orbit_gaps(lam, bound) if mu != lam), default=None)
+    gap4 = min((gap4 for mu, gap4, _ in _orbit_gaps(lam, bound) if mu != lam), default=None)
     return None if gap4 is None else Fraction(gap4, 4)
 
 
@@ -145,16 +146,17 @@ def is_normal(lam: Partition, certify: bool = False, bound: int | None = None) -
 
 def _orbit_gaps(lam: Partition, bound: int | None = None) -> list[tuple[Partition, int, int]]:
     """Per orbit mu <= lam, lam's own included, in orbit_extremes order:
-    (mu, worst gap in quarter-units, label count), from the flat
-    (mu, max, count) triples of _orbit_tops; no label is built unless
-    _label_record asks for a witness.  The top stratum comes from
-    dim_stratum, not the fold, once _orbit_tops has checked lam."""
-    tops = _orbit_tops(lam, bound)
-    top = dim_stratum(tau_zero(lam), strata_spec(lam)) * 4
-    if top.denominator != 1:
+    (mu, worst gap in quarter-units, label count), from _orbit_tops; no
+    label is built unless _label_record asks for a witness.  lam is
+    checked first and its spec built once, for both the top stratum,
+    which comes from dim_stratum, not the fold, and the orbits below."""
+    lam = _checked(lam, bound)
+    spec = strata_spec(lam)
+    top = dim_stratum(tau_zero(lam), spec)
+    top4, off = divmod(top.numerator * 4, top.denominator)
+    if off:
         raise AssertionError(f"the top stratum of {lam} should be a quarter-integer")
-    top4 = top.numerator
-    return [(mu, top4 - max_dim4, count) for mu, max_dim4, count in tops]
+    return _orbit_tops(spec, top4)
 
 
 def check_ci_condition(lam: Partition, bound: int | None = None) -> StrataCheck:
@@ -419,16 +421,18 @@ def _check_comb_col(table, i: int, j: int):
 
 
 @lru_cache(maxsize=None)
-def _sigma_o_sum(mu: Partition, t: int) -> int:
-    return sum(map(ab.o_stat, sigma_zero(mu, t)))
+def _sigma_o_sum(mu: Partition) -> int:
+    """Odd rows of sigma_zero(mu, t) for every t >= mu[0], cached per mu:
+    the t - mu[0] empty columns padding sigma_zero(mu, mu[0]) add none."""
+    return sum(map(ab.o_stat, sigma_zero(mu, mu[0])))
 
 
 def _check_o_sums(table, i: int, j: int):
     """Both label sums are cached by their partition; tau_zero(lam) is
     sigma_zero(lam, lam[0])."""
     lam = table.parts[i]
-    sigma_sum = _sigma_o_sum(table.parts[j], lam[0])
-    tau_sum = _sigma_o_sum(lam, lam[0])
+    sigma_sum = _sigma_o_sum(table.parts[j])
+    tau_sum = _sigma_o_sum(lam)
     n = sum(lam)
     if sigma_sum != n or tau_sum != n:
         yield _pair_record(table, i, j, sigma_sum=sigma_sum, tau_sum=tau_sum, n=n)

@@ -131,6 +131,53 @@ class TestMinimumGap:
             assert isinstance(minimum_stratum_gap(lam), Fraction)
 
 
+# sha256 of the gap path for every lam with 14 <= |lam| <= 18, past the
+# benchmark's |lam| <= 13: (lam, gap4) per lam, then (status, instances,
+# min_gap4) of check_ci_condition for a 2-step lam and (status, instances,
+# min_gap4, cases, flagged count) of check_normality_gap for a 1-step
+# lam, gaps in quarter-units.  Taken when each call built two specs,
+# recounted every column's letters and kept its top as a Fraction.
+GAP_PATH_14_TO_18 = "72acf656946aa9aa310f7d8b672a4a17dcc52977d53a37ca63bff0161bbdf71c"
+
+
+def test_gap_path_past_benchmark_sizes():
+    def num4(gap):
+        return None if gap is None else int(gap * 4)
+
+    rows = []
+    for n in range(14, 19):
+        for lam in enumerate_partitions(n):
+            rows.append((lam, num4(minimum_stratum_gap(lam, 18))))
+            if s_step(lam, 2):
+                r = check_ci_condition(lam, 18)
+                rows.append((r.status, r.instances, num4(r.min_gap)))
+            if s_step(lam, 1):
+                r = check_normality_gap(lam, 18)
+                rows.append((r.status, r.instances, num4(r.min_gap), r.cases, len(r.flagged)))
+    assert len(rows) == 1848
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == GAP_PATH_14_TO_18
+
+
+@pytest.mark.parametrize("call, lam", [(minimum_stratum_gap, (5, 3, 1)),
+                                       (check_ci_condition, (5, 3, 1)),
+                                       (check_normality_gap, (4, 3, 2, 1))],
+                         ids=["minimum_stratum_gap", "check_ci_condition", "check_normality_gap"])
+def test_one_spec_per_gap_call(monkeypatch, call, lam):
+    # the top stratum and the orbits below share one spec of lam
+    built = []
+    spec = strata.strata_spec
+
+    def counted(arg):
+        built.append(arg)
+        return spec(arg)
+
+    monkeypatch.setattr(strata, "strata_spec", counted)
+    monkeypatch.setattr(verify, "strata_spec", counted)
+    result = call(lam)
+    assert result is not None and getattr(result, "status", "ok") == "ok"
+    assert built == [lam]
+
+
 class TestCiCondition:
     def test_two_strata_example(self):
         result = check_ci_condition((2, 1))
@@ -528,6 +575,34 @@ class TestExtremesMemo:
         assert all(cache.cache_info().currsize > 0 for cache in caches)
         _clear_caches()
         assert [cache.cache_info().currsize for cache in caches] == [0, 0, 0, 0]
+
+
+class TestLetterRecord:
+    """dim_stratum reads each diagram's letter counts from the per-diagram
+    strata._letters, so a diagram read once must still be checked against
+    every later spec, and the record must be cleared with the other caches."""
+
+    def test_cached_diagram_still_checked(self):
+        _clear_caches()
+        try:
+            for lam in ((3, 1), (2, 1)):
+                strata.dim_stratum(strata.tau_zero(lam), strata.strata_spec(lam))
+            cached = strata._letters.cache_info().currsize
+            top21, top31 = strata.tau_zero((2, 1)), strata.tau_zero((3, 1))
+            with pytest.raises(ValueError, match=r"column 1 has letters \(3, 1\), spec wants \(4, 2\)"):
+                strata.dim_stratum(top21, strata.strata_spec((2, 2)))
+            with pytest.raises(ValueError, match=r"column 2 has letters \(2, 1\), spec wants \(1, 0\)"):
+                strata.dim_stratum((top21[0], top31[1]), strata.strata_spec((2, 1)))
+            assert strata._letters.cache_info().currsize == cached == 4
+        finally:
+            _clear_caches()
+
+    def test_cleared_by_clear_caches(self):
+        _clear_caches()
+        minimum_stratum_gap((4, 2))
+        assert strata._letters.cache_info().currsize > 0
+        _clear_caches()
+        assert strata._letters.cache_info().currsize == 0
 
 
 class TestChainMemos:
